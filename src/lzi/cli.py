@@ -102,7 +102,6 @@ def _propagation_spec(cfg: dict, t0: float, t1: float) -> propagator.Propagation
         t0=t0,
         t1=t1,
         rtol=float(block.get("rtol", 1e-8)),
-        atol=float(block.get("atol", 1e-12)),
         method=block.get("method", "cf4-fixed"),
         base_step=float(block.get("base_step", 0.01)),
         theta=float(block.get("theta", 0.1)),

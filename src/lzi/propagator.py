@@ -5,11 +5,12 @@ regression test against the matrix exponential).
 
 The default engine is a fourth-order commutator-free exponential integrator
 (two exponentials per step, Gauss nodes); every exponential is taken by
-exact eigendecomposition, so each step is unitary to roundoff.  Steps are
-sized locally as h(t) = min(base_step, theta / (1 + rate(t))) where rate(t)
-is the instantaneous diagonal spread of the sweep Hamiltonian, which keeps
-the oscillatory far tails of a linear sweep resolved without a globally
-tiny step.  Long products are evaluated in batches (stacked eigh + pairwise
+exact eigendecomposition, so each step is unitary to roundoff.  A step obeys
+h <= min(base_step, theta / (1 + rate)) at its left end, rate being the
+diagonal spread in the interaction picture (else the largest entry), which
+resolves the oscillatory far tails of a linear sweep without a globally tiny
+step; the grid inverts the integrated step density in a few array passes.
+Long products are evaluated in batches (stacked eigh + pairwise
 matrix-product reduction), which is what makes T ~ hundreds affordable.
 """
 
@@ -39,22 +40,23 @@ _SQRT3 = np.sqrt(3.0)
 _CF4_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _CF4_WEIGHTS = (0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0)
 _CHUNK = 131072  # steps per batched block; bounds peak memory
+_DENSITY_RTOL = 1e-3  # knot spacing: relative midpoint error of the linear density
+_SLACK = 1e-8  # relative margin of each step below its budget, above rounding
 
 
 @dataclass(frozen=True)
 class PropagationSpec:
     """Integration window, tolerances, and engine selection.
 
-    method is one of "cf4-fixed" (default), "rk4-fixed", "magnus2-fixed",
-    "adaptive".  `base_step` defaults to 0.01; `theta` is the local phase
-    budget per step (radians).  With verify=True fixed-step runs are repeated
-    at half step and must agree within rtol.
+    method is one of "cf4-fixed" (default), "rk4-fixed", "magnus2-fixed".
+    `base_step` defaults to 0.01; `theta` is the local phase budget per step
+    (radians); `max_steps` caps the steps of a whole call.  With verify=True
+    runs are repeated at half step and must agree within rtol.
     """
 
     t0: float
     t1: float
     rtol: float = 1e-8
-    atol: float = 1e-12
     method: str = "cf4-fixed"
     max_steps: int = 20_000_000
     base_step: float = 0.01
@@ -64,19 +66,17 @@ class PropagationSpec:
     def __post_init__(self):
         if not self.t0 < self.t1:
             raise ValueError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.method not in ("cf4-fixed", "rk4-fixed", "magnus2-fixed", "adaptive"):
+        if self.rtol <= 0:
+            raise ValueError("rtol must be positive")
+        if self.method not in _BLOCKS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
 class WaveState:
-    """Amplitude vector tagged with its variable and frame."""
+    """Amplitude vector tagged with its frame."""
 
     data: np.ndarray
-    variable: str  # "t" or "omega"
-    value: float
     basis: str  # "diabatic" or "interaction"
 
 
@@ -84,10 +84,10 @@ class WaveState:
 class TransitionResult:
     """Diabatic transition probabilities from a full sweep.
 
-    `matrix` is the horizon-extrapolated probability table (clipped to [0, 1]);
-    `matrix_at_T` / `matrix_at_2T` are the raw finite-horizon tables, whose
-    columns each sum to one within 10 x rtol.  `extrapolation_estimate` is
-    max |P(2T) - P(T)|, the magnitude of the finite-horizon correction.
+    `matrix` is 2 P(2T) - P(T) clipped to [0, 1]; `matrix_at_T` / `matrix_at_2T`
+    are the raw finite-horizon tables, columns summing to one within 10 x rtol,
+    from one sweep over [-2T, 2T] cut at -T and T: U(T) = U_mid and U(2T) =
+    U_right U_mid U_left.  `extrapolation_estimate` is max |P(2T) - P(T)|.
     """
 
     matrix: np.ndarray
@@ -100,8 +100,8 @@ class TransitionResult:
 class AffineHamiltonian:
     """H(t) = A + t D with Hermitian A, D; the linear-sweep workhorse.
 
-    Carries the exact integral of the diagonal, used by the interaction
-    picture and by phase-aware step sizing.
+    Carries the exact integral and spread of the diagonal, used by the
+    interaction picture and by phase-aware step sizing.
     """
 
     def __init__(self, a, d):
@@ -113,10 +113,7 @@ class AffineHamiltonian:
             raise ValueError("A and D must be Hermitian")
         self.a = a
         self.d = d
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+        self._diag_a, self._diag_d = np.real(np.diag(a)), np.real(np.diag(d))
 
     def __call__(self, t: float) -> np.ndarray:
         return self.a + t * self.d
@@ -126,14 +123,34 @@ class AffineHamiltonian:
 
     def diag_phase_integral(self, ts: np.ndarray) -> np.ndarray:
         """Integral from 0 to t of the real diagonal, per time in `ts`."""
-        da = np.real(np.diag(self.a))
-        dd = np.real(np.diag(self.d))
-        ts = np.asarray(ts, dtype=float)
-        return da[None, :] * ts[:, None] + 0.5 * dd[None, :] * ts[:, None] ** 2
+        ts = np.asarray(ts, dtype=float)[:, None]
+        return self._diag_a * ts + 0.5 * self._diag_d * ts**2
 
-    def diag_spread(self, t: float) -> float:
-        diag = np.real(np.diag(self(t)))
-        return float(diag.max() - diag.min())
+    def diag_spread(self, ts: np.ndarray) -> np.ndarray:
+        """Largest minus smallest real diagonal entry, per time in `ts`."""
+        diag = self._diag_a + np.asarray(ts, dtype=float)[:, None] * self._diag_d
+        return diag.max(axis=1) - diag.min(axis=1)
+
+    def resolution_rate(self, ts: np.ndarray) -> np.ndarray:
+        """Largest absolute entry, per time in `ts` (step sizing in this frame)."""
+        return np.abs(self.eval_many(ts)).max(axis=(1, 2))
+
+
+@dataclass(frozen=True)
+class _CallableSweep:
+    """AffineHamiltonian's stacked evaluation and rates for a plain callable t -> H(t)."""
+
+    fn: object
+
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        return np.array([np.asarray(self.fn(t), dtype=complex) for t in ts])
+
+    def diag_spread(self, ts: np.ndarray) -> np.ndarray:
+        diag = np.real(np.diagonal(self.eval_many(ts), axis1=1, axis2=2))
+        return diag.max(axis=1) - diag.min(axis=1)
+
+    def resolution_rate(self, ts: np.ndarray) -> np.ndarray:
+        return np.abs(self.eval_many(ts)).max(axis=(1, 2))
 
 
 class InteractionPicture:
@@ -143,50 +160,28 @@ class InteractionPicture:
     transformed generator is exp(-i Lambda) H_offdiag exp(i Lambda): its
     off-diagonal magnitudes equal those of H and diabatic populations are
     unchanged, while the amplitudes acquire well-defined limits as t -> +-inf
-    for a linear sweep.
+    for a linear sweep.  A plain callable base needs `diag_integral(ts)`, the
+    integral from 0 to t of its real diagonal per time in `ts`.
     """
 
     def __init__(self, base, diag_integral=None):
-        self.base = base
-        self._diag_integral = diag_integral
-        if diag_integral is None and not hasattr(base, "diag_phase_integral"):
-            from scipy.integrate import quad
-
-            def _numeric(ts):
-                ts = np.asarray(ts, dtype=float)
-                dim = np.asarray(base(ts.flat[0])).shape[0]
-                out = np.empty((ts.size, dim))
-                for i, t in enumerate(ts):
-                    for j in range(dim):
-                        out[i, j] = quad(
-                            lambda s: float(np.real(np.asarray(base(s))[j, j])), 0.0, t
-                        )[0]
-                return out
-
-            self._diag_integral = _numeric
-
-    def _lambdas(self, ts: np.ndarray) -> np.ndarray:
-        if self._diag_integral is not None:
-            return np.asarray(self._diag_integral(ts), dtype=float)
-        return self.base.diag_phase_integral(ts)
+        if diag_integral is None and not isinstance(base, AffineHamiltonian):
+            raise ValueError("a plain callable needs diag_integral for the interaction picture")
+        self.base = _as_sweep(base)
+        self._lambdas = base.diag_phase_integral if diag_integral is None else diag_integral
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        h = _eval_stack(self.base, ts).astype(complex)
+        h = self.base.eval_many(ts).astype(complex)
         idx = np.arange(h.shape[-1])
         h[:, idx, idx] = 0.0
-        phase = np.exp(1j * self._lambdas(ts))
+        phase = np.exp(1j * np.asarray(self._lambdas(ts), dtype=float))
         return np.conj(phase)[:, :, None] * h * phase[:, None, :]
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval_many(np.array([float(t)]))[0]
 
-    def resolution_rate(self, t: float) -> float:
-        base = self.base
-        if hasattr(base, "diag_spread"):
-            return base.diag_spread(t)
-        diag = np.real(np.diag(np.asarray(base(t))))
-        return float(diag.max() - diag.min())
+    def resolution_rate(self, ts: np.ndarray) -> np.ndarray:
+        return self.base.diag_spread(ts)
 
     def to_interaction(self, psi_lab: np.ndarray, t: float) -> np.ndarray:
         """Map a lab-frame amplitude vector into this frame at time t.
@@ -195,30 +190,22 @@ class InteractionPicture:
         lab states must be converted before propagating in this frame; for a
         single basis state the conversion is only a global phase.
         """
-        lam = self._lambdas(np.array([float(t)]))[0]
+        lam = np.asarray(self._lambdas(np.array([float(t)])), dtype=float)[0]
         return np.exp(-1j * lam) * np.asarray(psi_lab, dtype=complex)
 
     def to_lab(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Inverse of :meth:`to_interaction`."""
-        lam = self._lambdas(np.array([float(t)]))[0]
+        lam = np.asarray(self._lambdas(np.array([float(t)])), dtype=float)[0]
         return np.exp(1j * lam) * np.asarray(psi, dtype=complex)
 
 
 def interaction_picture(h, diag_integral=None) -> InteractionPicture:
-    """Wrap a Hamiltonian (callable or AffineHamiltonian) in the co-rotating frame."""
+    """Wrap an AffineHamiltonian, or a callable with diag_integral, in the co-rotating frame."""
     return InteractionPicture(h, diag_integral)
 
 
-def _eval_stack(h, ts: np.ndarray) -> np.ndarray:
-    if hasattr(h, "eval_many"):
-        return h.eval_many(ts)
-    return np.array([np.asarray(h(t), dtype=complex) for t in ts])
-
-
-def _resolution_rate(h, t: float) -> float:
-    if hasattr(h, "resolution_rate"):
-        return h.resolution_rate(t)
-    return max_abs(np.asarray(h(t)))
+def _as_sweep(h):
+    return h if isinstance(h, (AffineHamiltonian, InteractionPicture)) else _CallableSweep(h)
 
 
 def _expm_i_batch(hs: np.ndarray) -> np.ndarray:
@@ -227,25 +214,67 @@ def _expm_i_batch(hs: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def _time_grid(h, spec: PropagationSpec) -> np.ndarray:
-    ts = [spec.t0]
-    t = spec.t0
-    while t < spec.t1:
-        rate = _resolution_rate(h, t)
-        step = min(spec.base_step, spec.theta / (1.0 + rate))
-        t = min(t + step, spec.t1)
-        ts.append(t)
-        if len(ts) > spec.max_steps:
+def _step_budget(sweep, ts: np.ndarray, spec: PropagationSpec) -> np.ndarray:
+    """Largest allowed step starting at each time in `ts`."""
+    chunks = [sweep.resolution_rate(ts[lo : lo + _CHUNK]) for lo in range(0, ts.size, _CHUNK)]
+    return np.minimum(spec.base_step, spec.theta / (1.0 + np.concatenate(chunks)))
+
+
+def _knots(sweep, spec: PropagationSpec, edges: np.ndarray) -> tuple:
+    """Knots with the step density 1/h linear in between to _DENSITY_RTOL; the
+    density is taken one step back where h grows, so that a step keeps to its
+    left-end budget, and the slack absorbs rounding."""
+
+    def density(ts):
+        f = 1.0 / _step_budget(sweep, ts, spec)
+        return np.maximum(f, 1.0 / _step_budget(sweep, ts - 1.0 / f, spec)) * (1.0 + _SLACK)
+
+    knots, dens = edges, density(edges)
+    while True:
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        dm = density(mids)
+        chord_miss = np.abs(dm - 0.5 * (dens[:-1] + dens[1:])) > _DENSITY_RTOL * dm
+        coarse = np.flatnonzero(chord_miss & (np.diff(knots) * dm > 2.0) & (mids > knots[:-1]))
+        if coarse.size == 0:
+            return knots, dens
+        knots = np.insert(knots, coarse + 1, mids[coarse])
+        dens = np.insert(dens, coarse + 1, dm[coarse])
+
+
+def _time_grid(h, spec: PropagationSpec, cuts=()) -> np.ndarray:
+    """Nodes from t0 to t1 through every cut; each step obeys its left-end
+    budget min(base_step, theta / (1 + rate(t_left))) exactly."""
+    edges = np.unique(np.concatenate([[spec.t0, spec.t1], np.asarray(cuts, dtype=float)]))
+    knots, dens = _knots(h, spec, edges)
+    widths = np.diff(knots)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[:-1] + dens[1:]) * widths)])
+    if not cum[-1] + edges.size <= spec.max_steps:  # also a non-finite density
+        raise NumericalError(f"step budget exceeded ({spec.max_steps} steps)")
+    # a node per unit of integrated density: invert the piecewise-quadratic integral
+    targets = np.arange(1.0, cum[-1])
+    seg = np.searchsorted(cum, targets, side="right") - 1
+    excess = targets - cum[seg]
+    root = np.sqrt(np.maximum(dens[seg] ** 2 + 2.0 * excess * np.diff(dens)[seg] / widths[seg], 0.0))
+    offset = np.minimum(2.0 * excess / (dens[seg] + root), widths[seg])
+    ts = np.unique(np.concatenate([edges, knots[seg] + offset]))
+    # cut the few steps that still exceed their left-end budget into equal parts
+    while True:
+        steps = np.diff(ts)
+        parts = np.ceil(steps / _step_budget(h, ts[:-1], spec))
+        if parts.max() <= 1.0:
+            return ts
+        if not parts.sum() <= spec.max_steps:
             raise NumericalError(f"step budget exceeded ({spec.max_steps} steps)")
-    return np.asarray(ts)
+        extra = parts.astype(np.int64) - 1
+        left = np.repeat(np.arange(extra.size), extra)
+        rank = np.arange(left.size) - np.repeat(np.cumsum(extra) - extra, extra) + 1
+        ts = np.insert(ts, left + 1, ts[left] + rank * (steps / parts)[left])
 
 
-def _refine(ts: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    out = np.empty(ts.size * 2 - 1)
-    out[0::2] = ts
-    out[1::2] = mids
-    return out
+def _pieces(ts: np.ndarray, cuts) -> list:
+    """Sub-grids of ts between consecutive cuts, each sharing its end nodes."""
+    bounds = np.concatenate([[0], np.searchsorted(ts, cuts), [ts.size - 1]])
+    return [ts[lo : hi + 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _pairwise_product(mats: np.ndarray) -> np.ndarray:
@@ -264,8 +293,8 @@ def _cf4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     hs = tb - ta
     c1, c2 = _CF4_NODES
     g1, g2 = _CF4_WEIGHTS
-    h1 = _eval_stack(h, ta + c1 * hs)
-    h2 = _eval_stack(h, ta + c2 * hs)
+    h1 = h.eval_many(ta + c1 * hs)
+    h2 = h.eval_many(ta + c2 * hs)
     b1 = hs[:, None, None] * (g1 * h1 + g2 * h2)
     b2 = hs[:, None, None] * (g2 * h1 + g1 * h2)
     return _expm_i_batch(b2) @ _expm_i_batch(b1)
@@ -273,86 +302,54 @@ def _cf4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
 
 def _magnus2_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     hs = tb - ta
-    mid = _eval_stack(h, ta + 0.5 * hs)
+    mid = h.eval_many(ta + 0.5 * hs)
     return _expm_i_batch(hs[:, None, None] * mid)
 
 
+def _rk4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Classical RK4 steps of U' = i H U, each as the matrix it applies."""
+    hs = (tb - ta)[:, None, None]
+    k1, km, kb = (1j * h.eval_many(t) for t in (ta, ta + 0.5 * (tb - ta), tb))
+    eye = np.eye(k1.shape[-1])
+    k2 = km @ (eye + 0.5 * hs * k1)
+    k3 = km @ (eye + 0.5 * hs * k2)
+    k4 = kb @ (eye + hs * k3)
+    return eye + hs / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_BLOCKS = {"cf4-fixed": _cf4_blocks, "rk4-fixed": _rk4_blocks, "magnus2-fixed": _magnus2_blocks}
+
+
 def _operator_on_grid(h, ts: np.ndarray, method: str) -> np.ndarray:
-    dim = _eval_stack(h, ts[:1]).shape[-1]
-    u = np.eye(dim, dtype=complex)
-    if method == "rk4-fixed":
-        for k in range(ts.size - 1):
-            t, step = ts[k], ts[k + 1] - ts[k]
-            f = lambda tt, m: 1j * np.asarray(_eval_stack(h, np.array([tt]))[0]) @ m
-            k1 = f(t, u)
-            k2 = f(t + step / 2, u + step / 2 * k1)
-            k3 = f(t + step / 2, u + step / 2 * k2)
-            k4 = f(t + step, u + step * k3)
-            u = u + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return u
-    blocks_fn = _cf4_blocks if method == "cf4-fixed" else _magnus2_blocks
+    u = np.eye(h.eval_many(ts[:1]).shape[-1], dtype=complex)
     n = ts.size - 1
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        u = _pairwise_product(blocks_fn(h, ts[lo:hi], ts[lo + 1 : hi + 1])) @ u
+        u = _pairwise_product(_BLOCKS[method](h, ts[lo:hi], ts[lo + 1 : hi + 1])) @ u
     return u
 
 
-def _cf4_single(h, t: float, step: float) -> np.ndarray:
-    return _cf4_blocks(h, np.array([t]), np.array([t + step]))[0]
-
-
-def _adaptive_operator(h, spec: PropagationSpec):
-    span = spec.t1 - spec.t0
-    t = spec.t0
-    rate = _resolution_rate(h, t)
-    step = min(spec.base_step, spec.theta / (1.0 + rate))
-    dim = _eval_stack(h, np.array([t])).shape[-1]
-    u = np.eye(dim, dtype=complex)
-    worst = 0.0
-    n_steps = 0
-    while t < spec.t1:
-        step = min(step, spec.t1 - t)
-        if step < 1e-14 * span:
-            raise NumericalError(f"adaptive step underflow at t={t!r}")
-        coarse = _cf4_single(h, t, step)
-        fine = _cf4_single(h, t + step / 2, step / 2) @ _cf4_single(h, t, step / 2)
-        err = max_abs(coarse - fine)
-        tol_local = spec.atol + spec.rtol * step / span
-        if err <= tol_local:
-            u = fine @ u
-            t += step
-            worst = max(worst, err)
-        factor = 0.9 * (tol_local / max(err, 1e-300)) ** 0.2
-        step *= min(max(factor, 0.2), 5.0)
-        n_steps += 1
-        if n_steps > spec.max_steps:
-            raise NumericalError(f"adaptive step budget exceeded ({spec.max_steps})")
-    return u, worst
+def _evolve_on_grid(sweep, ts: np.ndarray, spec: PropagationSpec):
+    u = _operator_on_grid(sweep, ts, spec.method)
+    if not spec.verify:
+        return u, None
+    fine = np.insert(ts, np.arange(1, ts.size), 0.5 * (ts[:-1] + ts[1:]))
+    u_half = _operator_on_grid(sweep, fine, spec.method)
+    estimate = max_abs(u - u_half)
+    if estimate > spec.rtol:
+        raise NumericalError(
+            f"step-halving estimate {estimate:.3e} exceeds rtol {spec.rtol:.3e} "
+            f"({ts.size - 1} steps; tighten base_step/theta or rtol)"
+        )
+    return u_half, estimate
 
 
 def evolve_operator(h, spec: PropagationSpec):
-    """Full propagator over [t0, t1]; returns (U, error_estimate).
-
-    The estimate is the max-abs difference against a half-step rerun for
-    fixed-step methods (raises NumericalError above rtol when verify is set),
-    or the worst accepted local error for the adaptive method.
-    """
-    if spec.method == "adaptive":
-        return _adaptive_operator(h, spec)
-    ts = _time_grid(h, spec)
-    u = _operator_on_grid(h, ts, spec.method)
-    estimate = None
-    if spec.verify:
-        u_half = _operator_on_grid(h, _refine(ts), spec.method)
-        estimate = max_abs(u - u_half)
-        if estimate > spec.rtol:
-            raise NumericalError(
-                f"step-halving estimate {estimate:.3e} exceeds rtol {spec.rtol:.3e} "
-                f"({ts.size - 1} steps; tighten base_step/theta or rtol)"
-            )
-        u = u_half
-    return u, estimate
+    """Full propagator over [t0, t1]; returns (U, error_estimate), the estimate
+    being the max-abs difference against a half-step rerun when verify is set
+    (NumericalError above rtol), else None."""
+    sweep = _as_sweep(h)
+    return _evolve_on_grid(sweep, _time_grid(sweep, spec), spec)
 
 
 def propagate(h, psi0, spec: PropagationSpec) -> WaveState:
@@ -363,8 +360,7 @@ def propagate(h, psi0, spec: PropagationSpec) -> WaveState:
     drift = abs(np.linalg.norm(psi1) - np.linalg.norm(psi0))
     if drift > 10.0 * spec.rtol * max(1.0, np.linalg.norm(psi0)):
         raise NumericalError(f"norm drift {drift:.3e} exceeds 10 x rtol")
-    basis = "interaction" if isinstance(h, InteractionPicture) else "diabatic"
-    return WaveState(data=psi1, variable="t", value=spec.t1, basis=basis)
+    return WaveState(psi1, basis="interaction" if isinstance(h, InteractionPicture) else "diabatic")
 
 
 def population_trajectory(h, psi0, spec: PropagationSpec, sample_times) -> np.ndarray:
@@ -372,49 +368,45 @@ def population_trajectory(h, psi0, spec: PropagationSpec, sample_times) -> np.nd
     samples = np.asarray(sample_times, dtype=float)
     if np.any(samples < spec.t0) or np.any(samples > spec.t1) or np.any(np.diff(samples) <= 0):
         raise ValueError("sample_times must be increasing and inside [t0, t1]")
-    ts = _time_grid(h, spec)
-    ts = np.unique(np.concatenate([ts, samples]))
-    marks = np.searchsorted(ts, samples)
-    psi = np.asarray(psi0, dtype=complex)
-    out = np.empty((samples.size, psi.size), dtype=complex)
-    prev = 0
-    method = spec.method if spec.method != "adaptive" else "cf4-fixed"
-    for i, k in enumerate(marks):
-        if k > prev:
-            psi = _operator_on_grid(h, ts[prev : k + 1], method) @ psi
-            prev = k
-        out[i] = psi
-    return out
+    sweep = _as_sweep(h)
+    psi, out = np.asarray(psi0, dtype=complex), []
+    for piece in _pieces(_time_grid(sweep, spec, cuts=samples), samples)[:-1]:
+        psi = _operator_on_grid(sweep, piece, spec.method) @ psi
+        out.append(psi)
+    return np.array(out)
 
 
 def transition_matrix(model, horizon: float, spec: PropagationSpec | None = None) -> TransitionResult:
     """Diabatic transition probabilities for a sweep from -horizon to +horizon.
 
-    Propagates the full basis in the interaction picture over {T, 2T} and
-    extrapolates the probabilities to the infinite-horizon limit assuming
-    1/T corrections (P_inf ~ 2 P(2T) - P(T)).
+    Propagates the full basis in the interaction picture once over [-2T, 2T],
+    cut at -T and T so both horizons share the [-T, T] window, and extrapolates
+    to the infinite-horizon limit assuming 1/T corrections (P_inf ~ 2 P(2T) -
+    P(T)).  `spec.max_steps` bounds the steps of the whole run.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     ip = model if isinstance(model, InteractionPicture) else interaction_picture(model)
     base = spec or PropagationSpec(t0=-horizon, t1=horizon, verify=False)
-    tables = {}
-    for factor in (1.0, 2.0):
-        tc = factor * horizon
-        u, _ = evolve_operator(ip, replace(base, t0=-tc, t1=tc))
+    run = replace(base, t0=-2.0 * horizon, t1=2.0 * horizon)
+    cuts = (-horizon, horizon)
+    u_left, u_mid, u_right = (
+        _evolve_on_grid(ip, piece, run)[0] for piece in _pieces(_time_grid(ip, run, cuts), cuts)
+    )
+    tables = []
+    for u in (u_mid, u_right @ u_mid @ u_left):
         unito = max_abs(u @ np.conj(u.T) - np.eye(u.shape[0]))
         if unito > 1e-8:
             raise NumericalError(f"propagator unitarity defect {unito:.3e}")
-        p = np.abs(u) ** 2
-        col_defect = max_abs(p.sum(axis=0) - 1.0)
+        tables.append(np.abs(u) ** 2)
+        col_defect = max_abs(tables[-1].sum(axis=0) - 1.0)
         if col_defect > 10.0 * base.rtol:
             raise NumericalError(f"column sums off by {col_defect:.3e}")
-        tables[factor] = p
-    extrapolated = np.clip(2.0 * tables[2.0] - tables[1.0], 0.0, 1.0)
+    at_t, at_2t = tables
     return TransitionResult(
-        matrix=extrapolated,
+        matrix=np.clip(2.0 * at_2t - at_t, 0.0, 1.0),
         T_used=float(horizon),
-        extrapolation_estimate=max_abs(tables[2.0] - tables[1.0]),
-        matrix_at_T=tables[1.0],
-        matrix_at_2T=tables[2.0],
+        extrapolation_estimate=max_abs(at_2t - at_t),
+        matrix_at_T=at_t,
+        matrix_at_2T=at_2t,
     )

@@ -1,16 +1,69 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import lzi
 from lzi.errors import NumericalError
-from lzi.propagator import _operator_on_grid, _time_grid
+from lzi.propagator import _as_sweep, _operator_on_grid, _time_grid
 
 
 def _lz_sweep(coupling=0.4):
     a = np.array([[0.0, coupling], [coupling, 0.0]])
     d = np.diag([1.0, 0.0])
     return lzi.AffineHamiltonian(a, d)
+
+
+def _do3_sweep():
+    params = lzi.DOParams(gamma=[1.0, 0.5, 0.4, 0.3], epsilon=[0.0, 1.0, -2.0, 3.0])
+    return lzi.do_sweep(lzi.entries_from_gamma(params))
+
+
+def _bow_tie2_sweep():
+    params = lzi.DOParams(gamma=[1.0, 0.5, -0.4], epsilon=[0.0, 1.5, -1.0])
+    return lzi.bow_tie_sweep([-0.4, 0.6], lzi.entries_from_gamma(params))
+
+
+def _diag_spread(h, t):
+    diag = np.real(np.diag(h(t)))
+    return diag.max() - diag.min()
+
+
+def _marching_grid(rate, spec):
+    """Reference grid: one step at a time, each sized by its left end."""
+    ts = [spec.t0]
+    while ts[-1] < spec.t1:
+        step = min(spec.base_step, spec.theta / (1.0 + rate(ts[-1])))
+        ts.append(min(ts[-1] + step, spec.t1))
+    return np.asarray(ts)
+
+
+def _wobbly(t):
+    return np.array([[np.sin(3.0 * t) * t, 0.3], [0.3, -t]])
+
+
+def _dipping(t):
+    # |sin t| t^2 dips to zero in V shapes a few steps wide, which sampling
+    # the step density misses; the grid must then cut steps, at a cost in
+    # step count that only the budget bounds
+    return np.array([[np.sin(t) * t**2, 0.3], [0.3, np.cos(7.0 * t)]])
+
+
+DO3, BOW_TIE2 = _do3_sweep(), _bow_tie2_sweep()
+# frame, rate of its step sizing, window half-width, theta, allowed relative
+# step-count excess over marching; the diagonal spreads of DO n=3 and
+# bow-tie n=2 have several kinks
+GRID_CASES = {
+    "do-3": (lzi.interaction_picture(DO3), lambda t: _diag_spread(DO3, t), 30.0, 0.25, 0.01),
+    "bow-tie-2": (
+        lzi.interaction_picture(BOW_TIE2), lambda t: _diag_spread(BOW_TIE2, t), 30.0, 0.25, 0.01
+    ),
+    "do-3-lab": (DO3, lambda t: np.abs(DO3(t)).max(), 10.0, 0.1, 0.01),
+    "callable": (_wobbly, lambda t: np.abs(_wobbly(t)).max(), 10.0, 0.1, 0.01),
+    "callable-dips": (_dipping, lambda t: np.abs(_dipping(t)).max(), 7.3, 0.1, 1.0),
+}
 
 
 def test_zero_hamiltonian_is_identity():
@@ -131,14 +184,51 @@ def test_fixed_step_convergence_orders(method, order):
         assert abs(eoc - order) < 0.1 * order
 
 
-def test_adaptive_method_matches_fixed():
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_vectorised_grid_keeps_left_end_budget_and_marching_count(case):
+    frame, rate, half, theta, excess = GRID_CASES[case]
+    spec = lzi.PropagationSpec(t0=-2.0 * half, t1=2.0 * half, theta=theta)
+    ts = _time_grid(_as_sweep(frame), spec, cuts=(-half, half))
+    assert ts[0] == spec.t0 and ts[-1] == spec.t1 and {-half, half} <= set(ts)
+    rates = np.array([rate(t) for t in ts[:-1]])
+    assert np.all(np.diff(ts) <= np.minimum(spec.base_step, spec.theta / (1.0 + rates)))
+    marching = _marching_grid(rate, spec)
+    assert abs(ts.size - marching.size) <= excess * marching.size
+
+
+def test_step_budget_checked_before_building_the_grid():
+    start = time.perf_counter()
+    with pytest.raises(NumericalError):
+        lzi.transition_matrix(_lz_sweep(), horizon=1e6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_transition_matrix_budget_counts_the_whole_run():
+    spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, theta=0.25)
+    steps = _time_grid(lzi.interaction_picture(_lz_sweep()), replace(spec, t0=-10.0, t1=10.0)).size
+    with pytest.raises(NumericalError):
+        lzi.transition_matrix(_lz_sweep(), 5.0, replace(spec, max_steps=steps - 10))
+    lzi.transition_matrix(_lz_sweep(), 5.0, replace(spec, max_steps=steps + 10))
+
+
+def test_shared_window_matches_direct_propagation_over_2T():
+    horizon = 10.0
+    sweep = _do3_sweep()
+    result = lzi.transition_matrix(sweep, horizon)
+    direct = lzi.PropagationSpec(t0=-2.0 * horizon, t1=2.0 * horizon, verify=False)
+    u, _ = lzi.evolve_operator(lzi.interaction_picture(sweep), direct)
+    assert np.abs(result.matrix_at_2T - np.abs(u) ** 2).max() < 1e-9
+
+
+def test_interaction_picture_of_plain_callable_needs_diag_integral():
     sweep = _lz_sweep()
-    fixed = lzi.PropagationSpec(t0=-4.0, t1=4.0, rtol=1e-10, base_step=0.005, theta=0.05)
-    u_fixed, _ = lzi.evolve_operator(sweep, fixed)
-    adaptive = lzi.PropagationSpec(t0=-4.0, t1=4.0, method="adaptive", rtol=1e-10, atol=1e-12)
-    u_adaptive, worst = lzi.evolve_operator(sweep, adaptive)
-    assert lzi.max_abs(u_fixed - u_adaptive) < 1e-7
-    assert worst is not None
+    with pytest.raises(ValueError):
+        lzi.interaction_picture(lambda t: sweep(t))
+    frame = lzi.interaction_picture(lambda t: sweep(t), diag_integral=sweep.diag_phase_integral)
+    spec = lzi.PropagationSpec(t0=-6.0, t1=6.0, verify=False)
+    u_callable, _ = lzi.evolve_operator(frame, spec)
+    u_affine, _ = lzi.evolve_operator(lzi.interaction_picture(sweep), spec)
+    assert lzi.max_abs(u_callable - u_affine) < 1e-12
 
 
 def test_step_budget_enforced():
