@@ -131,6 +131,11 @@ def _max_workers() -> int:
 # verify-integrals / verify-ekz
 
 
+def _tolerance(block: dict, key: str, default: float, override: float | None) -> float:
+    """The config's tolerance, unless --tolerance (already validated) overrides it."""
+    return float(block.get(key, default)) if override is None else override
+
+
 def _gaudin_suite(block: dict, rng: np.random.Generator, tol_override: float | None):
     sites = int(block.get("sites", 4))
     if sites < 2:
@@ -139,8 +144,8 @@ def _gaudin_suite(block: dict, rng: np.random.Generator, tol_override: float | N
     draws = int(block.get("draws", 20))
     lambdas = [float(x) for x in block.get("lambda_values", [0.0, 0.5, 2.0])]
     level_shift = float(block.get("level_shift", 3.0))
-    commutator_tol = tol_override or float(block.get("tolerance", 1e-12))
-    curvature_tol = tol_override or float(block.get("curvature_tolerance", 1e-12))
+    commutator_tol = _tolerance(block, "tolerance", 1e-12, tol_override)
+    curvature_tol = _tolerance(block, "curvature_tolerance", 1e-12, tol_override)
     system = spin.SiteSystem.uniform(sites, s)
     max_comm = 0.0
     max_curv = 0.0
@@ -165,8 +170,8 @@ def _ado_suite(block: dict, rng: np.random.Generator, tol_override: float | None
     n_values = [int(x) for x in block.get("n_values", [2, 3, 4, 5, 6])]
     draws = int(block.get("draws", 20))
     breakage = float(block.get("break_parallelism", 0.0))
-    commutator_tol = tol_override or float(block.get("tolerance", 1e-13))
-    curvature_tol = tol_override or float(block.get("curvature_tolerance", 1e-12))
+    commutator_tol = _tolerance(block, "tolerance", 1e-13, tol_override)
+    curvature_tol = _tolerance(block, "curvature_tolerance", 1e-12, tol_override)
     max_comm = 0.0
     max_curv = 0.0
     for n in n_values:
@@ -223,9 +228,9 @@ def cmd_verify_ekz(cfg: dict, out: str | None, seed: int, tol: float | None) -> 
     draws = int(cfg.get("draws", 50))
     h = float(cfg.get("residual_step", 1e-4))
     tols = cfg.get("tolerances", {})
-    comm_tol = tol or float(tols.get("commutator", 1e-13))
-    curv_tol = tol or float(tols.get("curvature", 1e-12))
-    ode_tol = tol or float(tols.get("ode_residual", 1e-6))
+    comm_tol = _tolerance(tols, "commutator", 1e-13, tol)
+    curv_tol = _tolerance(tols, "curvature", 1e-12, tol)
+    ode_tol = _tolerance(tols, "ode_residual", 1e-6, tol)
     rng = np.random.default_rng(seed)
     b = ado.b_vectors(p)
     labels = [0] + list(range(2, p.n + 1))
@@ -299,9 +304,9 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
             psi0 = np.zeros(dim, dtype=complex)
             psi0[:2] = xi_plus
         else:
-            init = int(cfg.get("initial_state", 0))
-            if not 0 <= init < dim:
-                raise ConfigError(f"initial_state must be in 0..{dim - 1}")
+            init = cfg.get("initial_state", 0)
+            if isinstance(init, bool) or not isinstance(init, int) or not 0 <= init < dim:
+                raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
             psi0 = np.zeros(dim, dtype=complex)
             psi0[init] = 1.0
         frame = propagator.interaction_picture(sweep)
@@ -494,6 +499,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.tolerance is not None and not 0.0 < args.tolerance < np.inf:
+            raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if args.command == "verify-integrals":

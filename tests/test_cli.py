@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from lzi.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -330,3 +332,39 @@ def test_wrong_schema_version_exits_three(tmp_path):
 def test_missing_block_exits_three(tmp_path):
     cfg = _write(tmp_path, "nb.json", {"schema_version": 1, "model": "do", "params": {}})
     assert _run(["spectral-flow", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_non_positive_or_non_finite_tolerance_exits_three(tmp_path, capsys, value):
+    cfg = _write(tmp_path, "vi.json", _verify_config())
+    assert _run(["verify-integrals", "--config", cfg, "--tolerance", value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_tolerance_override_is_applied(tmp_path):
+    # a tight but positive override makes the suite fail its own defects (exit 1)
+    cfg = _write(tmp_path, "vi.json", _verify_config())
+    out = tmp_path / "report.json"
+    args = ["verify-integrals", "--config", cfg, "--tolerance", "1e-300", "--out", str(out)]
+    assert _run(args) == 1
+    assert json.loads(out.read_text())["pass"] is False
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", None])
+def test_evolve_non_integer_initial_state_exits_three(tmp_path, capsys, value):
+    cfg = _write(
+        tmp_path,
+        "ev.json",
+        {
+            "schema_version": 1,
+            "model": "do",
+            "params": {"gamma": [1.0, 0.0], "epsilon": [0.0, 1.0]},
+            "engine": "oracle",
+            "initial_state": value,
+            "grid": {"start": -1.0, "stop": 1.0, "num": 3},
+        },
+    )
+    assert _run(["evolve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err

@@ -7,7 +7,14 @@ from scipy.linalg import expm
 
 import lzi
 from lzi.errors import NumericalError
-from lzi.propagator import _as_sweep, _operator_on_grid, _time_grid
+from lzi import propagator
+from lzi.propagator import (
+    _as_sweep,
+    _expm_i_batch,
+    _operator_on_grid,
+    _pairwise_product,
+    _time_grid,
+)
 
 
 def _lz_sweep(coupling=0.4):
@@ -64,6 +71,58 @@ GRID_CASES = {
     "callable": (_wobbly, lambda t: np.abs(_wobbly(t)).max(), 10.0, 0.1, 0.01),
     "callable-dips": (_dipping, lambda t: np.abs(_dipping(t)).max(), 7.3, 0.1, 1.0),
 }
+
+
+def _hermitian_stack(rng, dim, norms):
+    """Levels-first (dim, dim, len(norms)) stack of random Hermitian matrices
+    with the given 1-norms."""
+    shape = (len(norms), dim, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = z + np.conj(np.swapaxes(z, 1, 2))
+    h *= (np.asarray(norms) / np.abs(h).sum(axis=1).max(axis=1))[:, None, None]
+    return np.moveaxis(h, 0, -1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("norm", [1e-6, 1e-3, 0.1, 0.5, 0.51, 2.0, 60.0])
+def test_taylor_exponential_matches_scipy_expm(dim, norm):
+    # 1-norms on both sides of the scaling threshold 1/2; each stack also holds
+    # smaller matrices, which share the degree chosen for the largest
+    rng = np.random.default_rng(1000 * dim + int(norm * 100))
+    x = _hermitian_stack(rng, dim, norm * np.array([1.0, 0.9, 0.3, 1e-2, 1e-5]))
+    got = _expm_i_batch(x)
+    for k in range(x.shape[-1]):
+        u = got[..., k]
+        assert np.abs(u - expm(1j * x[..., k])).max() <= 1e-13 * max(1.0, norm)
+        assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_taylor_exponential_of_empty_stack_and_zero_matrix(count):
+    x = np.zeros((3, 3, count), dtype=complex)
+    ref = np.moveaxis(expm(1j * np.moveaxis(x, -1, 0)), 0, -1)
+    got = _expm_i_batch(x)
+    assert got.shape == ref.shape == (3, 3, count)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 64])
+def test_pairwise_product_matches_sequential_left_multiplication(length):
+    rng = np.random.default_rng(length)
+    mats = _expm_i_batch(_hermitian_stack(rng, 3, rng.uniform(0.1, 3.0, length)))
+    sequential = np.eye(3, dtype=complex)
+    for k in range(length):
+        sequential = mats[..., k] @ sequential
+    assert np.abs(_pairwise_product(mats) - sequential).max() < 1e-13
+
+
+@pytest.mark.parametrize("method", ["cf4-fixed", "rk4-fixed", "magnus2-fixed"])
+def test_operator_on_grid_is_the_same_across_chunk_boundaries(method, monkeypatch):
+    frame = lzi.interaction_picture(_do3_sweep())
+    ts = np.linspace(-3.0, 3.0, 61)
+    whole = _operator_on_grid(frame, ts, method)
+    monkeypatch.setattr(propagator, "_CHUNK", 7 * 4**2)  # 7 steps of a 4-level model per block
+    assert np.abs(_operator_on_grid(frame, ts, method) - whole).max() < 1e-14
 
 
 def test_zero_hamiltonian_is_identity():
