@@ -105,22 +105,17 @@ def coupling_matrix(p: ADOParams) -> np.ndarray:
     return np.outer(p.gamma, p.gamma)
 
 
-def build_ado_hamiltonian(
-    p: ADOParams, t: float, v00: float | None = None, v11: float | None = None
-) -> np.ndarray:
+def build_ado_hamiltonian(p: ADOParams, t: float) -> np.ndarray:
     """Real symmetric sweep matrix at time t.
 
-    Diagonal: (t + v00, t + v11, a_2, .., a_n) with v00, v11 defaulting to
-    gamma_0^2, gamma_1^2; off-diagonal rank-one couplings in rows 0 and 1,
-    exact zeros among the flat levels.
+    Diagonal: (t + gamma_0^2, t + gamma_1^2, a_2, .., a_n); off-diagonal
+    rank-one couplings in rows 0 and 1, exact zeros among the flat levels.
     """
     g = p.gamma
     n = p.n
-    v00 = g[0] ** 2 if v00 is None else float(v00)
-    v11 = g[1] ** 2 if v11 is None else float(v11)
     h = np.zeros((n + 1, n + 1))
-    h[0, 0] = t + v00
-    h[1, 1] = t + v11
+    h[0, 0] = t + g[0] ** 2
+    h[1, 1] = t + g[1] ** 2
     h[0, 1] = h[1, 0] = g[0] * g[1]
     for k in range(2, n + 1):
         h[k, k] = p.a[k - 2]
@@ -129,9 +124,9 @@ def build_ado_hamiltonian(
     return h
 
 
-def ado_sweep(p: ADOParams, v00: float | None = None, v11: float | None = None) -> AffineHamiltonian:
+def ado_sweep(p: ADOParams) -> AffineHamiltonian:
     """The sweep H(t) = A + t D with the first two levels sloped."""
-    a = build_ado_hamiltonian(p, 0.0, v00=v00, v11=v11)
+    a = build_ado_hamiltonian(p, 0.0)
     d = np.zeros_like(a)
     d[0, 0] = d[1, 1] = 1.0
     return AffineHamiltonian(a, d)
@@ -436,8 +431,11 @@ def ekz_residual_check(sol: EKZSolution, omega: float, a=None, h: float = 1e-4):
 
     Returns (r_omega, r_a) where r_omega measures dPhi/domega - i(omega - H_1)Phi
     and r_a[j] measures dPhi/da_j + i H_j Phi.  Points closer than 10 h to any
-    branch point (or with flat-level gaps below 10 h) are rejected.
+    branch point (or with flat-level gaps below 10 h) are rejected, and so is a
+    step h that is not positive.
     """
+    if not h > 0.0:
+        raise ValueError(f"residual step h must be positive, got {h!r}")
     a = sol.a if a is None else np.asarray(a, dtype=float)
     if a.size and np.abs(omega - a).min() <= 10.0 * h:
         raise BranchPointError("omega within 10 h of a branch point")

@@ -7,7 +7,8 @@ all doubles printed to 17 significant digits, and is byte-deterministic for a
 fixed config and seed.
 
 Exit codes: 0 success, 1 verification failure, 2 numerical/engine error,
-3 config error.  The env var LZI_THREADS caps sweep parallelism.
+3 config error (including any config value the library rejects).  The env
+var LZI_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -47,6 +48,21 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _block(cfg: dict, key: str, required: bool = False) -> dict:
+    """The JSON object under `key`; an absent optional block reads as {}."""
+    block = _require(cfg, key) if required else cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {block!r}")
+    return block
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer (true/false excluded), never a truncated float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -62,42 +78,46 @@ def _csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid(block: dict, name: str) -> np.ndarray:
-    for key in ("start", "stop", "num"):
-        if key not in block:
-            raise ConfigError(f"{name} grid needs start/stop/num")
-    if block["num"] < 2 or block["stop"] <= block["start"]:
-        raise ConfigError(f"{name} grid must be increasing with num >= 2")
-    return np.linspace(float(block["start"]), float(block["stop"]), int(block["num"]))
+def _grid(cfg: dict, key: str) -> np.ndarray:
+    block = _block(cfg, key, required=True)
+    for name in ("start", "stop", "num"):
+        if name not in block:
+            raise ConfigError(f"{key} needs start/stop/num")
+    start, stop = float(block["start"]), float(block["stop"])
+    num = _integer(block["num"], f"{key}.num")
+    if num < 2 or not start < stop:
+        raise ConfigError(f"{key} must be increasing with num >= 2")
+    return np.linspace(start, stop, num)
 
 
-def _do_params(params: dict) -> do.DOParams:
+def _do_params(cfg: dict) -> do.DOParams:
+    params = _block(cfg, "params", required=True)
     return do.DOParams(gamma=_require(params, "gamma"), epsilon=_require(params, "epsilon"))
 
 
-def _ado_params(params: dict) -> ado.ADOParams:
+def _ado_params(cfg: dict) -> ado.ADOParams:
+    params = _block(cfg, "params", required=True)
     return ado.ADOParams(gamma=_require(params, "gamma"), a=_require(params, "a"))
 
 
 def _sweep_model(cfg: dict):
     """(AffineHamiltonian, level count n+1) from a model config block."""
     model = _require(cfg, "model")
-    params = _require(cfg, "params")
     if model == "do":
-        p = _do_params(params)
+        p = _do_params(cfg)
         return do.do_sweep(do.entries_from_gamma(p)), p.n + 1
     if model == "bow-tie":
-        p = _do_params(params)
-        r = np.asarray(_require(params, "r"), dtype=float)
+        p = _do_params(cfg)
+        r = np.asarray(_require(cfg["params"], "r"), dtype=float)
         return do.bow_tie_sweep(r, do.entries_from_gamma(p)), p.n + 1
     if model == "ado":
-        p = _ado_params(params)
+        p = _ado_params(cfg)
         return ado.ado_sweep(p), p.n + 1
     raise ConfigError(f"unknown model {model!r} (expected do, bow-tie or ado)")
 
 
 def _propagation_spec(cfg: dict, t0: float, t1: float) -> propagator.PropagationSpec:
-    block = cfg.get("propagation", {})
+    block = _block(cfg, "propagation")
     return propagator.PropagationSpec(
         t0=t0,
         t1=t1,
@@ -110,13 +130,17 @@ def _propagation_spec(cfg: dict, t0: float, t1: float) -> propagator.Propagation
 
 
 def _quadrature_spec(cfg: dict) -> ado.QuadratureSpec:
-    block = cfg.get("quadrature", {})
+    block = _block(cfg, "quadrature")
     return ado.QuadratureSpec(
         tolerance=float(block.get("tolerance", 1e-4)),
         initial_window=float(block.get("initial_window", 32.0)),
-        max_doublings=int(block.get("max_doublings", 6)),
+        max_doublings=_integer(block.get("max_doublings", 6), "max_doublings"),
         taper_fraction=float(block.get("taper_fraction", 0.1)),
     )
+
+
+def _branch_solution(cfg: dict) -> ado.EKZSolution:
+    return ado.closed_form_solution(_ado_params(cfg), _integer(cfg.get("branch", 1), "branch"))
 
 
 def _max_workers() -> int:
@@ -130,25 +154,54 @@ def _max_workers() -> int:
 # ---------------------------------------------------------------------------
 # verify-integrals / verify-ekz
 
+COMM, CURV, ODE = "max_commutator_defect", "max_curvature_residual", "max_ode_residual"
+
 
 def _tolerance(block: dict, key: str, default: float, override: float | None) -> float:
     """The config's tolerance, unless --tolerance (already validated) overrides it."""
     return float(block.get(key, default)) if override is None else override
 
 
-def _gaudin_suite(block: dict, rng: np.random.Generator, tol_override: float | None):
-    sites = int(block.get("sites", 4))
+def _verdict(samples, tols: dict, suite: str) -> dict:
+    """Each defect's largest value over the sampled points, and a pass flag
+    that needs every defect below its tolerance.  A suite that sampled no
+    point is a config error, never a vacuous pass."""
+    defects = dict.fromkeys(tols, 0.0)
+    points = 0
+    for points, sample in enumerate(samples, 1):
+        for key, value in sample.items():
+            defects[key] = max(defects[key], value)
+    if points == 0:
+        raise ConfigError(f"{suite} checked no point")
+    return dict(defects, **{"pass": all(defects[k] < tols[k] for k in tols)})
+
+
+def _json_report(report: dict):
+    text = json.dumps(dict(report, schema_version=SCHEMA_VERSION), indent=2, sort_keys=True)
+    return text + "\n", 0 if report["pass"] else 1
+
+
+def _ekz_sample(b, n: int, omega: float, commutator_tol: float) -> dict:
+    """Commutator defect and zero-curvature residual of the EKZ family at one omega."""
+    ops = [ado.ekz_hamiltonian_h1(b, omega)] + [
+        ado.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
+    ]
+    pairs = itertools.combinations([0] + list(range(2, n + 1)), 2)
+    return {
+        COMM: gaudin.verify_commuting(ops, commutator_tol).max_defect,
+        CURV: max(ado.zero_curvature_residual(b, i, j, omega) for i, j in pairs),
+    }
+
+
+def _gaudin_samples(block: dict, rng: np.random.Generator, commutator_tol: float):
+    sites = _integer(block.get("sites", 4), "sites")
     if sites < 2:
         raise ConfigError("gaudin suite needs at least two sites")
     s = float(block.get("spin", 0.5))
-    draws = int(block.get("draws", 20))
+    draws = _integer(block.get("draws", 20), "draws")
     lambdas = [float(x) for x in block.get("lambda_values", [0.0, 0.5, 2.0])]
     level_shift = float(block.get("level_shift", 3.0))
-    commutator_tol = _tolerance(block, "tolerance", 1e-12, tol_override)
-    curvature_tol = _tolerance(block, "curvature_tolerance", 1e-12, tol_override)
     system = spin.SiteSystem.uniform(sites, s)
-    max_comm = 0.0
-    max_curv = 0.0
     for _ in range(draws):
         w = np.sort(rng.uniform(-2.0, 2.0, sites))
         while np.min(np.diff(w)) < 0.1:
@@ -156,24 +209,17 @@ def _gaudin_suite(block: dict, rng: np.random.Generator, tol_override: float | N
         for lam in lambdas:
             cfg = gaudin.SpectralConfig(w=tuple(w), lam=lam, level_shift=level_shift)
             ops = [gaudin.richardson_integral(l, cfg, system) for l in range(sites)]
-            max_comm = max(max_comm, gaudin.verify_commuting(ops, commutator_tol).max_defect)
-            for la, lb in itertools.combinations(range(sites), 2):
-                max_curv = max(max_curv, gaudin.kz_flatness_residual(cfg, system, la, lb))
-    return {
-        "max_commutator_defect": max_comm,
-        "max_curvature_residual": max_curv,
-        "pass": bool(max_comm < commutator_tol and max_curv < curvature_tol),
-    }
+            pairs = itertools.combinations(range(sites), 2)
+            yield {
+                COMM: gaudin.verify_commuting(ops, commutator_tol).max_defect,
+                CURV: max(gaudin.kz_flatness_residual(cfg, system, la, lb) for la, lb in pairs),
+            }
 
 
-def _ado_suite(block: dict, rng: np.random.Generator, tol_override: float | None):
-    n_values = [int(x) for x in block.get("n_values", [2, 3, 4, 5, 6])]
-    draws = int(block.get("draws", 20))
+def _ado_samples(block: dict, rng: np.random.Generator, commutator_tol: float):
+    n_values = [_integer(x, "n_values entry") for x in block.get("n_values", [2, 3, 4, 5, 6])]
+    draws = _integer(block.get("draws", 20), "draws")
     breakage = float(block.get("break_parallelism", 0.0))
-    commutator_tol = _tolerance(block, "tolerance", 1e-13, tol_override)
-    curvature_tol = _tolerance(block, "curvature_tolerance", 1e-12, tol_override)
-    max_comm = 0.0
-    max_curv = 0.0
     for n in n_values:
         for _ in range(draws):
             g = rng.uniform(0.3, 1.0, n + 1)
@@ -186,128 +232,99 @@ def _ado_suite(block: dict, rng: np.random.Generator, tol_override: float | None
                 v = v.copy()
                 v[0, 1] += breakage
                 v[1, 0] += breakage
-            b = ado.b_vectors(p, v)
             omega = float(rng.uniform(2.5, 4.0))
-            ops = [ado.ekz_hamiltonian_h1(b, omega)] + [
-                ado.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
-            ]
-            max_comm = max(max_comm, gaudin.verify_commuting(ops, commutator_tol).max_defect)
-            labels = [0] + list(range(2, n + 1))
-            for i, j in itertools.combinations(labels, 2):
-                max_curv = max(max_curv, ado.zero_curvature_residual(b, i, j, omega))
-    return {
-        "max_commutator_defect": max_comm,
-        "max_curvature_residual": max_curv,
-        "pass": bool(max_comm < commutator_tol and max_curv < curvature_tol),
-    }
+            yield _ekz_sample(ado.b_vectors(p, v), n, omega, commutator_tol)
 
 
-def cmd_verify_integrals(cfg: dict, out: str | None, seed: int, tol: float | None) -> int:
+# block name -> (sample generator, default commutator tolerance), run in this order
+_INTEGRAL_SUITES = {"gaudin": (_gaudin_samples, 1e-12), "ado": (_ado_samples, 1e-13)}
+
+
+def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     sections = {}
-    if "gaudin" in cfg:
-        sections["gaudin"] = _gaudin_suite(cfg["gaudin"], rng, tol)
-    if "ado" in cfg:
-        sections["ado"] = _ado_suite(cfg["ado"], rng, tol)
+    for name, (samples, comm_default) in _INTEGRAL_SUITES.items():
+        if name in cfg:
+            block = _block(cfg, name)
+            tols = {
+                COMM: _tolerance(block, "tolerance", comm_default, tol),
+                CURV: _tolerance(block, "curvature_tolerance", 1e-12, tol),
+            }
+            sections[name] = _verdict(samples(block, rng, tols[COMM]), tols, f"{name} suite")
     if not sections:
         raise ConfigError("verify-integrals config needs a 'gaudin' and/or 'ado' block")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "max_commutator_defect": max(s["max_commutator_defect"] for s in sections.values()),
-        "max_curvature_residual": max(s["max_curvature_residual"] for s in sections.values()),
-        "pass": all(s["pass"] for s in sections.values()),
-        "sections": sections,
-    }
-    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0 if report["pass"] else 1
+    return _json_report(
+        {
+            COMM: max(s[COMM] for s in sections.values()),
+            CURV: max(s[CURV] for s in sections.values()),
+            "pass": all(s["pass"] for s in sections.values()),
+            "sections": sections,
+        }
+    )
 
 
-def cmd_verify_ekz(cfg: dict, out: str | None, seed: int, tol: float | None) -> int:
-    params = _require(cfg, "params")
-    p = _ado_params(params)
-    draws = int(cfg.get("draws", 50))
-    h = float(cfg.get("residual_step", 1e-4))
-    tols = cfg.get("tolerances", {})
-    comm_tol = _tolerance(tols, "commutator", 1e-13, tol)
-    curv_tol = _tolerance(tols, "curvature", 1e-12, tol)
-    ode_tol = _tolerance(tols, "ode_residual", 1e-6, tol)
-    rng = np.random.default_rng(seed)
+def _ekz_samples(p: ado.ADOParams, draws: int, h: float, rng, commutator_tol: float):
     b = ado.b_vectors(p)
-    labels = [0] + list(range(2, p.n + 1))
-    max_comm = 0.0
-    max_curv = 0.0
-    max_ode = 0.0
     sols = [ado.closed_form_solution(p, m) for m in (+1, -1)]
     for _ in range(draws):
         omega = float(rng.uniform(-2.5, 2.5))
         if p.a.size and np.abs(omega - p.a).min() <= 0.5:
             continue
-        ops = [ado.ekz_hamiltonian_h1(b, omega)] + [
-            ado.ekz_hamiltonian_hk(b, k, omega) for k in range(2, p.n + 1)
-        ]
-        max_comm = max(max_comm, gaudin.verify_commuting(ops, comm_tol).max_defect)
-        for i, j in itertools.combinations(labels, 2):
-            max_curv = max(max_curv, ado.zero_curvature_residual(b, i, j, omega))
-        for sol in sols:
-            r_omega, r_a = ado.ekz_residual_check(sol, omega, h=h)
-            max_ode = max(max_ode, r_omega, float(r_a.max(initial=0.0)))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "max_commutator_defect": max_comm,
-        "max_curvature_residual": max_curv,
-        "max_ode_residual": max_ode,
-        "pass": bool(max_comm < comm_tol and max_curv < curv_tol and max_ode < ode_tol),
+        sample = _ekz_sample(b, p.n, omega, commutator_tol)
+        residuals = [ado.ekz_residual_check(sol, omega, h=h) for sol in sols]
+        sample[ODE] = max(max(r, float(r_a.max(initial=0.0))) for r, r_a in residuals)
+        yield sample
+
+
+def cmd_verify_ekz(cfg: dict, seed: int, tol: float | None):
+    p = _ado_params(cfg)
+    draws = _integer(cfg.get("draws", 50), "draws")
+    h = float(cfg.get("residual_step", 1e-4))
+    block = _block(cfg, "tolerances")
+    tols = {
+        COMM: _tolerance(block, "commutator", 1e-13, tol),
+        CURV: _tolerance(block, "curvature", 1e-12, tol),
+        ODE: _tolerance(block, "ode_residual", 1e-6, tol),
     }
-    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0 if report["pass"] else 1
+    samples = _ekz_samples(p, draws, h, np.random.default_rng(seed), tols[COMM])
+    suite = "verify-ekz (it skips omega draws within 0.5 of a flat level)"
+    return _json_report(_verdict(samples, tols, suite))
 
 
 # ---------------------------------------------------------------------------
-# spectral-flow
+# spectral-flow / evolve
 
 
-def cmd_spectral_flow(cfg: dict, out: str | None) -> int:
-    params = _require(cfg, "params")
-    p = _do_params(params)
-    grid = _grid(_require(cfg, "grid"), "time")
-    flow = do.track_spectral_flow(p, grid)
+def cmd_spectral_flow(cfg: dict, seed: int, tol: float | None):
+    flow = do.track_spectral_flow(_do_params(cfg), _grid(cfg, "grid"))
     nb = flow.branches.shape[1]
     header = ["t"] + [f"x_{m}" for m in range(nb)] + [f"E_{m}" for m in range(nb)]
     rows = [
         [float(t)] + [float(x) for x in flow.branches[k]] + [float(e) for e in flow.energies[k]]
         for k, t in enumerate(flow.t_grid)
     ]
-    _write_text(out, _csv(header, rows))
-    return 0
+    return _csv(header, rows), 0
 
 
-# ---------------------------------------------------------------------------
-# evolve
-
-
-def cmd_evolve(cfg: dict, out: str | None) -> int:
+def cmd_evolve(cfg: dict, seed: int, tol: float | None):
     engine = cfg.get("engine", "oracle")
     if engine not in ("oracle", "closed-form", "both"):
         raise ConfigError(f"unknown engine {engine!r}")
-    grid = _grid(_require(cfg, "grid"), "time")
+    grid = _grid(cfg, "grid")
     if engine in ("closed-form", "both") and _require(cfg, "model") != "ado":
         raise ConfigError("closed-form engine requires the ado model")
 
-    rows = None
-    header = None
     if engine in ("oracle", "both"):
         sweep, dim = _sweep_model(cfg)
         spec = _propagation_spec(cfg, grid[0], grid[-1])
+        psi0 = np.zeros(dim, dtype=complex)
         if engine == "both":
-            p = _ado_params(_require(cfg, "params"))
-            xi_plus, _ = ado.spinor_eigenbasis(ado.b_vectors(p).unit_n)
-            psi0 = np.zeros(dim, dtype=complex)
+            xi_plus, _ = ado.spinor_eigenbasis(ado.b_vectors(_ado_params(cfg)).unit_n)
             psi0[:2] = xi_plus
         else:
-            init = cfg.get("initial_state", 0)
-            if isinstance(init, bool) or not isinstance(init, int) or not 0 <= init < dim:
+            init = _integer(cfg.get("initial_state", 0), "initial_state")
+            if not 0 <= init < dim:
                 raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
-            psi0 = np.zeros(dim, dtype=complex)
             psi0[init] = 1.0
         frame = propagator.interaction_picture(sweep)
         traj = propagator.population_trajectory(
@@ -321,8 +338,7 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
         ]
 
     if engine in ("closed-form", "both"):
-        p = _ado_params(_require(cfg, "params"))
-        sol = ado.closed_form_solution(p, int(cfg.get("branch", 1)))
+        sol = _branch_solution(cfg)
         qspec = _quadrature_spec(cfg)
         if engine == "closed-form":
             header = ["t", "cf_p_0", "cf_p_1", "cf_total"]
@@ -333,58 +349,38 @@ def cmd_evolve(cfg: dict, out: str | None) -> int:
                 rows.append([float(t), float(mods[0]), float(mods[1]), float(mods.sum())])
         else:
             # reversed-time sloped-channel population, normalized at the grid start
-            norms = np.array(
-                [
-                    np.linalg.norm(
-                        ado.time_domain_wavefunction(sol, -float(t), qspec).amplitudes
-                    )
-                    ** 2
-                    for t in grid
-                ]
-            )
+            amps = [ado.time_domain_wavefunction(sol, -float(t), qspec).amplitudes for t in grid]
+            norms = np.array([np.linalg.norm(amp) ** 2 for amp in amps])
             cf_pop = norms / norms[0]
             header = header + ["cf_sloped", "abs_delta"]
             for k in range(len(rows)):
                 oracle_sloped = rows[k][2] + rows[k][3]  # p_0 + p_1
                 rows[k] = rows[k] + [float(cf_pop[k]), float(abs(oracle_sloped - cf_pop[k]))]
 
-    _write_text(out, _csv(header, rows))
-    return 0
+    return _csv(header, rows), 0
 
 
 # ---------------------------------------------------------------------------
-# transition-matrix
+# transition-matrix / lz-probability
 
 
-def cmd_transition_matrix(cfg: dict, out: str | None) -> int:
+def cmd_transition_matrix(cfg: dict, seed: int, tol: float | None):
     sweep, dim = _sweep_model(cfg)
     horizon = float(cfg.get("T", 200.0))
     spec = _propagation_spec(cfg, -horizon, horizon)
     result = propagator.transition_matrix(sweep, horizon, spec)
     header = ["T_used", "initial", "final", "p_at_T", "p_at_2T", "p_extrapolated"]
-    rows = []
-    for initial in range(dim):
-        for final in range(dim):
-            rows.append(
-                [
-                    float(result.T_used),
-                    initial,
-                    final,
-                    float(result.matrix_at_T[final, initial]),
-                    float(result.matrix_at_2T[final, initial]),
-                    float(result.matrix[final, initial]),
-                ]
-            )
-    _write_text(out, _csv(header, rows))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# lz-probability
+    rows = [
+        [float(result.T_used), i, f, float(result.matrix_at_T[f, i]),
+         float(result.matrix_at_2T[f, i]), float(result.matrix[f, i])]
+        for i in range(dim)
+        for f in range(dim)
+    ]
+    return _csv(header, rows), 0
 
 
 def _sweep_points(cfg: dict) -> list:
-    sweep = _require(cfg, "sweep")
+    sweep = _block(cfg, "sweep", required=True)
     if "points" in sweep:
         pts = [tuple(float(g) for g in row) for row in sweep["points"]]
     else:
@@ -402,7 +398,7 @@ def _sweep_points(cfg: dict) -> list:
     return pts
 
 
-def cmd_lz_probability(cfg: dict, out: str | None) -> int:
+def cmd_lz_probability(cfg: dict, seed: int, tol: float | None):
     points = _sweep_points(cfg)
     a2 = float(cfg.get("a2", 0.0))
     horizon = float(cfg.get("T", 200.0))
@@ -421,55 +417,53 @@ def cmd_lz_probability(cfg: dict, out: str | None) -> int:
         oracle = float(result.matrix[2, 2])
         return (g0, g1, g2, formula, oracle, abs(formula - oracle))
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, points))
-    else:
-        results = [one(pt) for pt in points]
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        results = list(pool.map(one, points))
     header = ["gamma_0", "gamma_1", "gamma_2", "P_formula", "P_oracle", "abs_delta"]
-    rows = [[float(x) for x in row] for row in results]
-    _write_text(out, _csv(header, rows))
-    return 0
+    return _csv(header, [[float(x) for x in row] for row in results]), 0
 
 
 # ---------------------------------------------------------------------------
 # closed-form
 
 
-def cmd_closed_form(cfg: dict, out: str | None) -> int:
-    p = _ado_params(_require(cfg, "params"))
-    sol = ado.closed_form_solution(p, int(cfg.get("branch", 1)))
+def _amplitude_row(x: float, amp: np.ndarray) -> list:
+    """x, then re/im of both sloped amplitudes, then their modulus."""
+    return [float(x), float(amp[0].real), float(amp[0].imag), float(amp[1].real),
+            float(amp[1].imag), float(np.linalg.norm(amp))]
+
+
+def cmd_closed_form(cfg: dict, seed: int, tol: float | None):
+    sol = _branch_solution(cfg)
+    columns = ["re_0", "im_0", "re_1", "im_1", "modulus"]
     if "omega_grid" in cfg:
-        grid = _grid(cfg["omega_grid"], "omega")
-        header = ["omega", "re_0", "im_0", "re_1", "im_1", "modulus"]
-        rows = []
-        for omega in grid:
-            amp = sol(float(omega))
-            rows.append(
-                [float(omega), float(amp[0].real), float(amp[0].imag),
-                 float(amp[1].real), float(amp[1].imag), float(np.linalg.norm(amp))]
-            )
+        header = ["omega"] + columns
+        rows = [_amplitude_row(omega, sol(float(omega))) for omega in _grid(cfg, "omega_grid")]
     elif "t_grid" in cfg:
-        grid = _grid(cfg["t_grid"], "time")
+        grid = _grid(cfg, "t_grid")
         qspec = _quadrature_spec(cfg)
-        header = ["t", "re_0", "im_0", "re_1", "im_1", "modulus", "error_estimate"]
+        header = ["t"] + columns + ["error_estimate"]
         rows = []
         for t in grid:
             res = ado.time_domain_wavefunction(sol, float(t), qspec)
-            amp = res.amplitudes
-            rows.append(
-                [float(t), float(amp[0].real), float(amp[0].imag),
-                 float(amp[1].real), float(amp[1].imag),
-                 float(np.linalg.norm(amp)), float(res.error_estimate)]
-            )
+            rows.append(_amplitude_row(t, res.amplitudes) + [float(res.error_estimate)])
     else:
         raise ConfigError("closed-form config needs omega_grid or t_grid")
-    _write_text(out, _csv(header, rows))
-    return 0
+    return _csv(header, rows), 0
 
 
 # ---------------------------------------------------------------------------
+
+# every handler takes (cfg, seed, tolerance override) and returns (text, exit code)
+COMMANDS = {
+    "verify-integrals": cmd_verify_integrals,
+    "verify-ekz": cmd_verify_ekz,
+    "spectral-flow": cmd_spectral_flow,
+    "evolve": cmd_evolve,
+    "transition-matrix": cmd_transition_matrix,
+    "lz-probability": cmd_lz_probability,
+    "closed-form": cmd_closed_form,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,15 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lzi", description="Multi-level Landau-Zener dynamics toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "verify-integrals",
-        "verify-ekz",
-        "spectral-flow",
-        "evolve",
-        "transition-matrix",
-        "lz-probability",
-        "closed-form",
-    ):
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -502,28 +488,21 @@ def main(argv=None) -> int:
         if args.tolerance is not None and not 0.0 < args.tolerance < np.inf:
             raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        if args.command == "verify-integrals":
-            return cmd_verify_integrals(cfg, args.out, seed, args.tolerance)
-        if args.command == "verify-ekz":
-            return cmd_verify_ekz(cfg, args.out, seed, args.tolerance)
-        if args.command == "spectral-flow":
-            return cmd_spectral_flow(cfg, args.out)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.out)
-        if args.command == "transition-matrix":
-            return cmd_transition_matrix(cfg, args.out)
-        if args.command == "lz-probability":
-            return cmd_lz_probability(cfg, args.out)
-        if args.command == "closed-form":
-            return cmd_closed_form(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "seed")
+        text, code = COMMANDS[args.command](cfg, seed, args.tolerance)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except LziError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, TypeError) as exc:
+        # the library raises these only for bad arguments, and every argument here
+        # comes from the config
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    _write_text(args.out, text)
+    return code
 
 
 if __name__ == "__main__":

@@ -54,8 +54,9 @@ class PropagationSpec:
 
     method is one of "cf4-fixed" (default), "rk4-fixed", "magnus2-fixed".
     `base_step` defaults to 0.01; `theta` is the local phase budget per step
-    (radians); `max_steps` caps the steps of a whole call.  With verify=True
-    runs are repeated at half step and must agree within rtol.
+    (radians); both must be positive and finite.  `max_steps` caps the steps
+    of a whole call.  With verify=True runs are repeated at half step and must
+    agree within rtol.
     """
 
     t0: float
@@ -74,6 +75,9 @@ class PropagationSpec:
             raise ValueError("rtol must be positive")
         if self.method not in _BLOCKS:
             raise ValueError(f"unknown method {self.method!r}")
+        for name, value in (("base_step", self.base_step), ("theta", self.theta)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,13 @@ def test_residual_check_rejects_points_near_branch():
         lzi.ekz_residual_check(sol, omega=5e-4, h=1e-4)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, float("nan")])
+def test_residual_check_rejects_non_positive_step(h):
+    sol = lzi.closed_form_solution(_params(), m=+1)
+    with pytest.raises(ValueError, match="positive"):
+        lzi.ekz_residual_check(sol, omega=1.3, h=h)
+
+
 def test_spatial_contraction_fails_ode_system():
     # the scalar part must use the full four-component contraction: with the
     # spatial-only variant the pair-product derivative no longer matches

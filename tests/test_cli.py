@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lzi.cli import main
 
@@ -368,3 +374,170 @@ def test_evolve_non_integer_initial_state_exits_three(tmp_path, capsys, value):
     assert _run(["evolve", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the config-error boundary: small valid configs, one per command
+
+_ADO = {"gamma": [0.3, 0.4, 0.5], "a": [0.0]}
+_VALID = {
+    "spectral-flow": {
+        "schema_version": 1,
+        "model": "do",
+        "params": {"gamma": [0.9, 0.5, 0.7], "epsilon": [0.0, 1.0, 2.0]},
+        "grid": {"start": -3.0, "stop": 3.5, "num": 5},
+    },
+    "evolve": {
+        "schema_version": 1,
+        "model": "do",
+        "params": {"gamma": [1.0, 0.5], "epsilon": [0.0, 1.0]},
+        "engine": "oracle",
+        "initial_state": 1,
+        "grid": {"start": -2.0, "stop": 2.0, "num": 3},
+        "propagation": {"theta": 0.25},
+    },
+    "transition-matrix": {
+        "schema_version": 1,
+        "model": "ado",
+        "params": _ADO,
+        "T": 5.0,
+        "propagation": {"theta": 0.25},
+    },
+    "lz-probability": {
+        "schema_version": 1,
+        "sweep": {"points": [[0.3, 0.4, 0.5]]},
+        "T": 5.0,
+        "propagation": {"theta": 0.25},
+    },
+    "closed-form": {
+        "schema_version": 1,
+        "params": _ADO,
+        "branch": 1,
+        "omega_grid": {"start": 0.25, "stop": 4.0, "num": 3},
+    },
+    "verify-integrals": {
+        "schema_version": 1,
+        "gaudin": {"sites": 3, "draws": 2, "lambda_values": [0.0, 0.5]},
+        "ado": {"n_values": [2, 3], "draws": 2},
+    },
+    "verify-ekz": {
+        "schema_version": 1,
+        "params": {"gamma": [0.3, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
+        "draws": 3,
+    },
+}
+_DELETE = object()
+
+
+def _mutated(command, path, value, base=None):
+    """A copy of the command's valid config with the entry at `path` replaced or deleted."""
+    cfg = copy.deepcopy(_VALID[command] if base is None else base)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+_CF_TIME = dict(
+    _VALID["closed-form"],
+    t_grid={"start": -1.0, "stop": 1.0, "num": 2},
+    quadrature={"tolerance": 0.01},
+)
+_CF_TIME.pop("omega_grid")
+
+# (command, path, value, base config if not the command's valid one)
+_CONFIG_ERRORS = {
+    # values the library's own argument checks reject
+    "flow-num-string": ("spectral-flow", ("grid", "num"), "15", None),
+    "flow-gamma-string": ("spectral-flow", ("params", "gamma"), "ab", None),
+    "flow-gamma-epsilon-lengths": ("spectral-flow", ("params", "epsilon"), [0.0, 1.0], None),
+    "tm-negative-T": ("transition-matrix", ("T",), -5, None),
+    "tm-unknown-method": ("transition-matrix", ("propagation", "method"), "euler", None),
+    "tm-negative-rtol": ("transition-matrix", ("propagation", "rtol"), -1, None),
+    "tm-ado-two-gammas": ("transition-matrix", ("params", "gamma"), [0.3, 0.4], None),
+    "tm-params-number": ("transition-matrix", ("params",), 5, None),
+    "cf-negative-quadrature-tolerance": ("closed-form", ("quadrature", "tolerance"), -1, _CF_TIME),
+    "cf-branch-two": ("closed-form", ("branch",), 2, None),
+    "lzp-points-number": ("lz-probability", ("sweep", "points"), 5, None),
+    "vi-ado-one-level": ("verify-integrals", ("ado", "n_values"), [1], None),
+    "vi-seed-string": ("verify-integrals", ("seed",), "x", None),
+    # a negative step control used to give a silently wrong table
+    "tm-negative-theta": ("transition-matrix", ("propagation", "theta"), -1, None),
+    "tm-negative-base-step": ("transition-matrix", ("propagation", "base_step"), -0.01, None),
+    "tm-zero-theta": ("transition-matrix", ("propagation", "theta"), 0, None),
+    # blocks that are not JSON objects
+    "tm-propagation-number": ("transition-matrix", ("propagation",), 5, None),
+    "cf-quadrature-string": ("closed-form", ("quadrature",), "x", _CF_TIME),
+    "vi-gaudin-number": ("verify-integrals", ("gaudin",), 5, None),
+    "ekz-tolerances-number": ("verify-ekz", ("tolerances",), 3, None),
+    # integer fields given a non-integer
+    "cf-branch-float": ("closed-form", ("branch",), -1.5, None),
+    "flow-num-float": ("spectral-flow", ("grid", "num"), 2.7, None),
+    "flow-num-huge": ("spectral-flow", ("grid", "num"), 1e400, None),
+    "ekz-draws-huge": ("verify-ekz", ("draws",), 1e400, None),
+    "vi-sites-float": ("verify-integrals", ("gaudin", "sites"), 3.0, None),
+    "vi-n-values-float": ("verify-integrals", ("ado", "n_values"), [2.5], None),
+    "cf-max-doublings-float": ("closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME),
+    "flow-seed-float": ("spectral-flow", ("seed",), 1.5, None),
+    # verifications that would check no point
+    "ekz-no-draws": ("verify-ekz", ("draws",), 0, None),
+    "ekz-flat-levels-cover-draws": (
+        "verify-ekz", ("params",), {"gamma": [0.3] * 7, "a": [-2.0, -1.0, 0.0, 1.0, 2.0]}, None
+    ),
+    "ekz-zero-residual-step": ("verify-ekz", ("residual_step",), 0, None),
+    "vi-gaudin-no-draws": ("verify-integrals", ("gaudin", "draws"), 0, None),
+    "vi-ado-no-n-values": ("verify-integrals", ("ado", "n_values"), [], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+def test_rejected_config_exits_three_without_traceback(tmp_path, capsys, case):
+    command, path, value, base = _CONFIG_ERRORS[case]
+    cfg = _write(tmp_path, "bad.json", _mutated(command, path, value, base))
+    assert _run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _entries(obj, prefix=()):
+    """Paths of every entry of a JSON value, blocks and list items included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _entries(value, prefix + (key,))
+
+
+# the default horizon (T = 200) would make one propagation take seconds
+_KEEP = {("T",)}
+_FUZZ_VALUES = [_DELETE, "x", [1.0], {"k": 1}, None, True, -1, 0, 2.7]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_with_a_documented_code(data):
+    command = data.draw(st.sampled_from(sorted(_VALID)))
+    path = data.draw(st.sampled_from(list(_entries(_VALID[command]))))
+    value = data.draw(st.sampled_from(_FUZZ_VALUES[1:] if path in _KEEP else _FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "fuzz.json", _mutated(command, path, value))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["spectral-flow", "verify-ekz"])
+def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "cfg.json", _VALID[command])
+    out = tmp_path / "out"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _run([command, "--config", cfg]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()

@@ -353,6 +353,14 @@ def test_spec_validation():
         lzi.PropagationSpec(t0=0.0, t1=1.0, method="euler")
 
 
+@pytest.mark.parametrize("field", ["base_step", "theta"])
+@pytest.mark.parametrize("value", [0.0, -0.01, -1.0, np.nan, np.inf])
+def test_spec_rejects_non_positive_or_non_finite_step_controls(field, value):
+    # a negative budget used to collapse every segment to a single step
+    with pytest.raises(ValueError, match=field):
+        lzi.PropagationSpec(t0=0.0, t1=1.0, **{field: value})
+
+
 def test_time_grid_respects_phase_budget():
     sweep = _lz_sweep()
     spec = lzi.PropagationSpec(t0=-50.0, t1=50.0, theta=0.2)
