@@ -6,14 +6,20 @@ config (with a schema_version field), writes CSV or JSON to --out/stdout with
 all doubles printed to 17 significant digits, and is byte-deterministic for a
 fixed config and seed.
 
+Each `COMMANDS` entry pairs a handler with the JSON type and default of every
+config key it takes.  `_read` checks a config against them before the handler
+runs: an unknown key, a missing required key or a value of the wrong JSON type
+(a string or boolean for a number, a string for a boolean) is a config error.
+
 Exit codes: 0 success, 1 verification failure, 2 numerical/engine error,
 3 config error (including any config value the library rejects).  The env
-var LZI_THREADS caps sweep parallelism.
+var LZI_THREADS (a positive integer) caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -28,39 +34,74 @@ from .errors import ConfigError, LziError
 
 SCHEMA_VERSION = 1
 
+# A declaration maps each key to (kind, default).  A kind is float (any JSON
+# number, read as a float), int, bool or str; [kind], a JSON array of that
+# kind; a tuple, one of these exact values; or a declaration, for a nested JSON
+# object.  An absent key takes its default: REQUIRED is a config error, None
+# stays None (an optional block or list whose presence matters), and any other
+# default is read as if it had been given.
+REQUIRED = object()
+_JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string"}
 
-def _load_config(path: str) -> dict:
+
+def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-    return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _block(cfg: dict, key: str, required: bool = False) -> dict:
-    """The JSON object under `key`; an absent optional block reads as {}."""
-    block = _require(cfg, key) if required else cfg.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {block!r}")
+def _read(value, kind, where: str):
+    """`value` checked against its declared kind, with the defaults of every
+    block filled in; anything else is a config error naming the key."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON array, got {value!r}")
+        return [_read(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        if not any(type(value) is type(choice) and value == choice for choice in kind):
+            raise ConfigError(f"{where} must be one of {', '.join(map(repr, kind))}, got {value!r}")
+        return value
+    if not isinstance(kind, dict):
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ConfigError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+        return float(value) if kind is float else value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {value!r}")
+    prefix = f"{where}." if where else ""
+    for key in value:
+        if key not in kind:
+            raise ConfigError(f"unknown key {prefix + key!r} (allowed: {', '.join(kind)})")
+    block = {}
+    for key, (sub, default) in kind.items():
+        if sub is _MODEL_PARAMS:
+            sub = sub[block["model"]]
+        if key in value:
+            block[key] = _read(value[key], sub, prefix + key)
+        elif default is REQUIRED:
+            raise ConfigError(f"config is missing required key {prefix + key!r}")
+        else:
+            block[key] = None if default is None else _read(default, sub, prefix + key)
     return block
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer (true/false excluded), never a truncated float."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+def _spec_keys(spec, *names) -> dict:
+    """Block keys typed and defaulted by the fields (all, or those named) of a library spec."""
+    fields = dataclasses.fields(spec)
+    return {f.name: (type(f.default), f.default) for f in fields if not names or f.name in names}
+
+
+_GRID = {"start": (float, REQUIRED), "stop": (float, REQUIRED), "num": (int, REQUIRED)}
+_DO_PARAMS = {"gamma": ([float], REQUIRED), "epsilon": ([float], REQUIRED)}
+_ADO_PARAMS = {"gamma": ([float], REQUIRED), "a": ([float], REQUIRED)}
+# the `params` of a command with a `model` key, declared per model and read after it
+_MODEL_PARAMS = {"do": _DO_PARAMS, "bow-tie": dict(_DO_PARAMS, r=([float], REQUIRED)), "ado": _ADO_PARAMS}
+_MODEL = {"model": (tuple(_MODEL_PARAMS), REQUIRED), "params": (_MODEL_PARAMS, REQUIRED)}
+# the CLI propagates without the half-step rerun unless a config asks for it
+_PROPAGATION = dict(_spec_keys(propagator.PropagationSpec, "rtol", "method", "base_step", "theta"),
+                    verify=(bool, False))
+_QUADRATURE = _spec_keys(ado.QuadratureSpec)
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -78,77 +119,33 @@ def _csv(header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid(cfg: dict, key: str) -> np.ndarray:
-    block = _block(cfg, key, required=True)
-    for name in ("start", "stop", "num"):
-        if name not in block:
-            raise ConfigError(f"{key} needs start/stop/num")
-    start, stop = float(block["start"]), float(block["stop"])
-    num = _integer(block["num"], f"{key}.num")
-    if num < 2 or not start < stop:
-        raise ConfigError(f"{key} must be increasing with num >= 2")
-    return np.linspace(start, stop, num)
-
-
-def _do_params(cfg: dict) -> do.DOParams:
-    params = _block(cfg, "params", required=True)
-    return do.DOParams(gamma=_require(params, "gamma"), epsilon=_require(params, "epsilon"))
-
-
-def _ado_params(cfg: dict) -> ado.ADOParams:
-    params = _block(cfg, "params", required=True)
-    return ado.ADOParams(gamma=_require(params, "gamma"), a=_require(params, "a"))
+def _grid(block: dict, name: str) -> np.ndarray:
+    if block["num"] < 2 or not block["start"] < block["stop"]:
+        raise ConfigError(f"{name} must be increasing with num >= 2")
+    return np.linspace(block["start"], block["stop"], block["num"])
 
 
 def _sweep_model(cfg: dict):
-    """(AffineHamiltonian, level count n+1) from a model config block."""
-    model = _require(cfg, "model")
-    if model == "do":
-        p = _do_params(cfg)
-        return do.do_sweep(do.entries_from_gamma(p)), p.n + 1
-    if model == "bow-tie":
-        p = _do_params(cfg)
-        r = np.asarray(_require(cfg["params"], "r"), dtype=float)
-        return do.bow_tie_sweep(r, do.entries_from_gamma(p)), p.n + 1
-    if model == "ado":
-        p = _ado_params(cfg)
-        return ado.ado_sweep(p), p.n + 1
-    raise ConfigError(f"unknown model {model!r} (expected do, bow-tie or ado)")
-
-
-def _propagation_spec(cfg: dict, t0: float, t1: float) -> propagator.PropagationSpec:
-    block = _block(cfg, "propagation")
-    return propagator.PropagationSpec(
-        t0=t0,
-        t1=t1,
-        rtol=float(block.get("rtol", 1e-8)),
-        method=block.get("method", "cf4-fixed"),
-        base_step=float(block.get("base_step", 0.01)),
-        theta=float(block.get("theta", 0.1)),
-        verify=bool(block.get("verify", False)),
-    )
-
-
-def _quadrature_spec(cfg: dict) -> ado.QuadratureSpec:
-    block = _block(cfg, "quadrature")
-    return ado.QuadratureSpec(
-        tolerance=float(block.get("tolerance", 1e-4)),
-        initial_window=float(block.get("initial_window", 32.0)),
-        max_doublings=_integer(block.get("max_doublings", 6), "max_doublings"),
-        taper_fraction=float(block.get("taper_fraction", 0.1)),
-    )
-
-
-def _branch_solution(cfg: dict) -> ado.EKZSolution:
-    return ado.closed_form_solution(_ado_params(cfg), _integer(cfg.get("branch", 1), "branch"))
+    """(AffineHamiltonian, level count n+1) of the config's model and params."""
+    p = cfg["params"]
+    if cfg["model"] == "ado":
+        params = ado.ADOParams(**p)
+        return ado.ado_sweep(params), params.n + 1
+    params = do.DOParams(gamma=p["gamma"], epsilon=p["epsilon"])
+    entries = do.entries_from_gamma(params)
+    sweep = do.do_sweep(entries) if cfg["model"] == "do" else do.bow_tie_sweep(p["r"], entries)
+    return sweep, params.n + 1
 
 
 def _max_workers() -> int:
     raw = os.environ.get("LZI_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ConfigError(f"LZI_THREADS must be an integer, got {raw!r}")
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"LZI_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +154,13 @@ def _max_workers() -> int:
 COMM, CURV, ODE = "max_commutator_defect", "max_curvature_residual", "max_ode_residual"
 
 
-def _tolerance(block: dict, key: str, default: float, override: float | None) -> float:
-    """The config's tolerance, unless --tolerance (already validated) overrides it."""
-    return float(block.get(key, default)) if override is None else override
-
-
-def _verdict(samples, tols: dict, suite: str) -> dict:
+def _verdict(samples, tols: dict, override: float | None, suite: str) -> dict:
     """Each defect's largest value over the sampled points, and a pass flag
-    that needs every defect below its tolerance.  A suite that sampled no
-    point is a config error, never a vacuous pass."""
+    that needs every defect below its tolerance (or below --tolerance, which
+    overrides them all).  A suite that sampled no point is a config error,
+    never a vacuous pass."""
+    if override is not None:
+        tols = dict.fromkeys(tols, override)
     defects = dict.fromkeys(tols, 0.0)
     points = 0
     for points, sample in enumerate(samples, 1):
@@ -181,47 +176,41 @@ def _json_report(report: dict):
     return text + "\n", 0 if report["pass"] else 1
 
 
-def _ekz_sample(b, n: int, omega: float, commutator_tol: float) -> dict:
+def _ekz_sample(b, n: int, omega: float) -> dict:
     """Commutator defect and zero-curvature residual of the EKZ family at one omega."""
     ops = [ado.ekz_hamiltonian_h1(b, omega)] + [
         ado.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
     ]
     pairs = itertools.combinations([0] + list(range(2, n + 1)), 2)
     return {
-        COMM: gaudin.verify_commuting(ops, commutator_tol).max_defect,
+        COMM: gaudin.verify_commuting(ops).max_defect,
         CURV: max(ado.zero_curvature_residual(b, i, j, omega) for i, j in pairs),
     }
 
 
-def _gaudin_samples(block: dict, rng: np.random.Generator, commutator_tol: float):
-    sites = _integer(block.get("sites", 4), "sites")
+def _gaudin_samples(block: dict, rng: np.random.Generator):
+    sites = block["sites"]
     if sites < 2:
         raise ConfigError("gaudin suite needs at least two sites")
-    s = float(block.get("spin", 0.5))
-    draws = _integer(block.get("draws", 20), "draws")
-    lambdas = [float(x) for x in block.get("lambda_values", [0.0, 0.5, 2.0])]
-    level_shift = float(block.get("level_shift", 3.0))
-    system = spin.SiteSystem.uniform(sites, s)
-    for _ in range(draws):
+    system = spin.SiteSystem.uniform(sites, block["spin"])
+    for _ in range(block["draws"]):
         w = np.sort(rng.uniform(-2.0, 2.0, sites))
         while np.min(np.diff(w)) < 0.1:
             w = np.sort(rng.uniform(-2.0, 2.0, sites))
-        for lam in lambdas:
-            cfg = gaudin.SpectralConfig(w=tuple(w), lam=lam, level_shift=level_shift)
+        for lam in block["lambda_values"]:
+            cfg = gaudin.SpectralConfig(w=tuple(w), lam=lam, level_shift=block["level_shift"])
             ops = [gaudin.richardson_integral(l, cfg, system) for l in range(sites)]
             pairs = itertools.combinations(range(sites), 2)
             yield {
-                COMM: gaudin.verify_commuting(ops, commutator_tol).max_defect,
+                COMM: gaudin.verify_commuting(ops).max_defect,
                 CURV: max(gaudin.kz_flatness_residual(cfg, system, la, lb) for la, lb in pairs),
             }
 
 
-def _ado_samples(block: dict, rng: np.random.Generator, commutator_tol: float):
-    n_values = [_integer(x, "n_values entry") for x in block.get("n_values", [2, 3, 4, 5, 6])]
-    draws = _integer(block.get("draws", 20), "draws")
-    breakage = float(block.get("break_parallelism", 0.0))
-    for n in n_values:
-        for _ in range(draws):
+def _ado_samples(block: dict, rng: np.random.Generator):
+    breakage = block["break_parallelism"]
+    for n in block["n_values"]:
+        for _ in range(block["draws"]):
             g = rng.uniform(0.3, 1.0, n + 1)
             a = np.sort(rng.uniform(-2.0, 2.0, n - 1))
             while a.size >= 2 and np.min(np.diff(a)) < 0.2:
@@ -233,24 +222,17 @@ def _ado_samples(block: dict, rng: np.random.Generator, commutator_tol: float):
                 v[0, 1] += breakage
                 v[1, 0] += breakage
             omega = float(rng.uniform(2.5, 4.0))
-            yield _ekz_sample(ado.b_vectors(p, v), n, omega, commutator_tol)
-
-
-# block name -> (sample generator, default commutator tolerance), run in this order
-_INTEGRAL_SUITES = {"gaudin": (_gaudin_samples, 1e-12), "ado": (_ado_samples, 1e-13)}
+            yield _ekz_sample(ado.b_vectors(p, v), n, omega)
 
 
 def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     sections = {}
-    for name, (samples, comm_default) in _INTEGRAL_SUITES.items():
-        if name in cfg:
-            block = _block(cfg, name)
-            tols = {
-                COMM: _tolerance(block, "tolerance", comm_default, tol),
-                CURV: _tolerance(block, "curvature_tolerance", 1e-12, tol),
-            }
-            sections[name] = _verdict(samples(block, rng, tols[COMM]), tols, f"{name} suite")
+    for name, samples in (("gaudin", _gaudin_samples), ("ado", _ado_samples)):
+        block = cfg[name]
+        if block is not None:
+            tols = {COMM: block["tolerance"], CURV: block["curvature_tolerance"]}
+            sections[name] = _verdict(samples(block, rng), tols, tol, f"{name} suite")
     if not sections:
         raise ConfigError("verify-integrals config needs a 'gaudin' and/or 'ado' block")
     return _json_report(
@@ -263,32 +245,26 @@ def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
     )
 
 
-def _ekz_samples(p: ado.ADOParams, draws: int, h: float, rng, commutator_tol: float):
+def _ekz_samples(p: ado.ADOParams, draws: int, h: float, rng):
     b = ado.b_vectors(p)
     sols = [ado.closed_form_solution(p, m) for m in (+1, -1)]
     for _ in range(draws):
         omega = float(rng.uniform(-2.5, 2.5))
         if p.a.size and np.abs(omega - p.a).min() <= 0.5:
             continue
-        sample = _ekz_sample(b, p.n, omega, commutator_tol)
+        sample = _ekz_sample(b, p.n, omega)
         residuals = [ado.ekz_residual_check(sol, omega, h=h) for sol in sols]
         sample[ODE] = max(max(r, float(r_a.max(initial=0.0))) for r, r_a in residuals)
         yield sample
 
 
 def cmd_verify_ekz(cfg: dict, seed: int, tol: float | None):
-    p = _ado_params(cfg)
-    draws = _integer(cfg.get("draws", 50), "draws")
-    h = float(cfg.get("residual_step", 1e-4))
-    block = _block(cfg, "tolerances")
-    tols = {
-        COMM: _tolerance(block, "commutator", 1e-13, tol),
-        CURV: _tolerance(block, "curvature", 1e-12, tol),
-        ODE: _tolerance(block, "ode_residual", 1e-6, tol),
-    }
-    samples = _ekz_samples(p, draws, h, np.random.default_rng(seed), tols[COMM])
+    block = cfg["tolerances"]
+    tols = {COMM: block["commutator"], CURV: block["curvature"], ODE: block["ode_residual"]}
+    p = ado.ADOParams(**cfg["params"])
+    samples = _ekz_samples(p, cfg["draws"], cfg["residual_step"], np.random.default_rng(seed))
     suite = "verify-ekz (it skips omega draws within 0.5 of a flat level)"
-    return _json_report(_verdict(samples, tols, suite))
+    return _json_report(_verdict(samples, tols, tol, suite))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +272,7 @@ def cmd_verify_ekz(cfg: dict, seed: int, tol: float | None):
 
 
 def cmd_spectral_flow(cfg: dict, seed: int, tol: float | None):
-    flow = do.track_spectral_flow(_do_params(cfg), _grid(cfg, "grid"))
+    flow = do.track_spectral_flow(do.DOParams(**cfg["params"]), _grid(cfg["grid"], "grid"))
     nb = flow.branches.shape[1]
     header = ["t"] + [f"x_{m}" for m in range(nb)] + [f"E_{m}" for m in range(nb)]
     rows = [
@@ -307,22 +283,19 @@ def cmd_spectral_flow(cfg: dict, seed: int, tol: float | None):
 
 
 def cmd_evolve(cfg: dict, seed: int, tol: float | None):
-    engine = cfg.get("engine", "oracle")
-    if engine not in ("oracle", "closed-form", "both"):
-        raise ConfigError(f"unknown engine {engine!r}")
-    grid = _grid(cfg, "grid")
-    if engine in ("closed-form", "both") and _require(cfg, "model") != "ado":
+    engine, grid = cfg["engine"], _grid(cfg["grid"], "grid")
+    if engine != "oracle" and cfg["model"] != "ado":
         raise ConfigError("closed-form engine requires the ado model")
 
     if engine in ("oracle", "both"):
         sweep, dim = _sweep_model(cfg)
-        spec = _propagation_spec(cfg, grid[0], grid[-1])
+        spec = propagator.PropagationSpec(grid[0], grid[-1], **cfg["propagation"])
         psi0 = np.zeros(dim, dtype=complex)
         if engine == "both":
-            xi_plus, _ = ado.spinor_eigenbasis(ado.b_vectors(_ado_params(cfg)).unit_n)
+            xi_plus, _ = ado.spinor_eigenbasis(ado.b_vectors(ado.ADOParams(**cfg["params"])).unit_n)
             psi0[:2] = xi_plus
         else:
-            init = _integer(cfg.get("initial_state", 0), "initial_state")
+            init = cfg["initial_state"]
             if not 0 <= init < dim:
                 raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
             psi0[init] = 1.0
@@ -338,8 +311,8 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
         ]
 
     if engine in ("closed-form", "both"):
-        sol = _branch_solution(cfg)
-        qspec = _quadrature_spec(cfg)
+        sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
+        qspec = ado.QuadratureSpec(**cfg["quadrature"])
         if engine == "closed-form":
             header = ["t", "cf_p_0", "cf_p_1", "cf_total"]
             rows = []
@@ -366,8 +339,8 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
 
 def cmd_transition_matrix(cfg: dict, seed: int, tol: float | None):
     sweep, dim = _sweep_model(cfg)
-    horizon = float(cfg.get("T", 200.0))
-    spec = _propagation_spec(cfg, -horizon, horizon)
+    horizon = cfg["T"]
+    spec = propagator.PropagationSpec(-horizon, horizon, **cfg["propagation"])
     result = propagator.transition_matrix(sweep, horizon, spec)
     header = ["T_used", "initial", "final", "p_at_T", "p_at_2T", "p_extrapolated"]
     rows = [
@@ -379,31 +352,23 @@ def cmd_transition_matrix(cfg: dict, seed: int, tol: float | None):
     return _csv(header, rows), 0
 
 
-def _sweep_points(cfg: dict) -> list:
-    sweep = _block(cfg, "sweep", required=True)
-    if "points" in sweep:
-        pts = [tuple(float(g) for g in row) for row in sweep["points"]]
+def _sweep_points(sweep: dict) -> list:
+    given = [key for key, value in sweep.items() if value is not None]
+    if given == ["points"]:
+        pts = [tuple(row) for row in sweep["points"]]
+    elif given == ["gamma0", "gamma1", "gamma2"]:
+        pts = list(itertools.product(*(sweep[key] for key in given)))
     else:
-        for key in ("gamma0", "gamma1", "gamma2"):
-            if key not in sweep:
-                raise ConfigError("sweep needs 'points' or gamma0/gamma1/gamma2 lists")
-        pts = [
-            (float(g0), float(g1), float(g2))
-            for g0 in sweep["gamma0"]
-            for g1 in sweep["gamma1"]
-            for g2 in sweep["gamma2"]
-        ]
+        raise ConfigError(f"sweep needs 'points' or gamma0/1/2 lists, got {', '.join(given) or 'none'}")
     if any(len(p) != 3 for p in pts):
         raise ConfigError("each sweep point must have three couplings")
     return pts
 
 
 def cmd_lz_probability(cfg: dict, seed: int, tol: float | None):
-    points = _sweep_points(cfg)
-    a2 = float(cfg.get("a2", 0.0))
-    horizon = float(cfg.get("T", 200.0))
-    run_oracle = bool(cfg.get("oracle", True))
-    spec = _propagation_spec(cfg, -horizon, horizon)
+    points = _sweep_points(cfg["sweep"])
+    a2, horizon, run_oracle = cfg["a2"], cfg["T"], cfg["oracle"]
+    spec = propagator.PropagationSpec(-horizon, horizon, **cfg["propagation"])
 
     def one(point):
         g0, g1, g2 = point
@@ -434,35 +399,68 @@ def _amplitude_row(x: float, amp: np.ndarray) -> list:
 
 
 def cmd_closed_form(cfg: dict, seed: int, tol: float | None):
-    sol = _branch_solution(cfg)
+    sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
     columns = ["re_0", "im_0", "re_1", "im_1", "modulus"]
-    if "omega_grid" in cfg:
+    if (cfg["omega_grid"] is None) == (cfg["t_grid"] is None):
+        raise ConfigError("closed-form config needs exactly one of 'omega_grid' and 't_grid'")
+    if cfg["omega_grid"] is not None:
         header = ["omega"] + columns
-        rows = [_amplitude_row(omega, sol(float(omega))) for omega in _grid(cfg, "omega_grid")]
-    elif "t_grid" in cfg:
-        grid = _grid(cfg, "t_grid")
-        qspec = _quadrature_spec(cfg)
+        rows = [_amplitude_row(w, sol(float(w))) for w in _grid(cfg["omega_grid"], "omega_grid")]
+    else:
+        qspec = ado.QuadratureSpec(**cfg["quadrature"])
         header = ["t"] + columns + ["error_estimate"]
         rows = []
-        for t in grid:
+        for t in _grid(cfg["t_grid"], "t_grid"):
             res = ado.time_domain_wavefunction(sol, float(t), qspec)
             rows.append(_amplitude_row(t, res.amplitudes) + [float(res.error_estimate)])
-    else:
-        raise ConfigError("closed-form config needs omega_grid or t_grid")
     return _csv(header, rows), 0
 
 
 # ---------------------------------------------------------------------------
 
+
+def _command(handler, **keys):
+    """A COMMANDS entry: the handler and the declaration of its config keys."""
+    return handler, {"schema_version": ((SCHEMA_VERSION,), REQUIRED), "seed": (int, 0), **keys}
+
+
 # every handler takes (cfg, seed, tolerance override) and returns (text, exit code)
 COMMANDS = {
-    "verify-integrals": cmd_verify_integrals,
-    "verify-ekz": cmd_verify_ekz,
-    "spectral-flow": cmd_spectral_flow,
-    "evolve": cmd_evolve,
-    "transition-matrix": cmd_transition_matrix,
-    "lz-probability": cmd_lz_probability,
-    "closed-form": cmd_closed_form,
+    "verify-integrals": _command(
+        cmd_verify_integrals,
+        gaudin=({"sites": (int, 4), "spin": (float, 0.5), "draws": (int, 20),
+                 "lambda_values": ([float], [0.0, 0.5, 2.0]), "level_shift": (float, 3.0),
+                 "tolerance": (float, 1e-12), "curvature_tolerance": (float, 1e-12)}, None),
+        ado=({"n_values": ([int], [2, 3, 4, 5, 6]), "draws": (int, 20),
+              "tolerance": (float, 1e-13), "curvature_tolerance": (float, 1e-12),
+              "break_parallelism": (float, 0.0)}, None),
+    ),
+    "verify-ekz": _command(
+        cmd_verify_ekz, params=(_ADO_PARAMS, REQUIRED), draws=(int, 50), residual_step=(float, 1e-4),
+        tolerances=({"commutator": (float, 1e-13), "curvature": (float, 1e-12),
+                     "ode_residual": (float, 1e-6)}, {}),
+    ),
+    "spectral-flow": _command(
+        cmd_spectral_flow, model=(("do",), "do"), params=(_DO_PARAMS, REQUIRED), grid=(_GRID, REQUIRED)
+    ),
+    "evolve": _command(
+        cmd_evolve, **_MODEL, engine=(("oracle", "closed-form", "both"), "oracle"),
+        grid=(_GRID, REQUIRED), initial_state=(int, 0), branch=(int, 1),
+        propagation=(_PROPAGATION, {}), quadrature=(_QUADRATURE, {}),
+    ),
+    "transition-matrix": _command(
+        cmd_transition_matrix, **_MODEL, T=(float, 200.0), propagation=(_PROPAGATION, {})
+    ),
+    "lz-probability": _command(
+        cmd_lz_probability,
+        sweep=({"points": ([[float]], None), "gamma0": ([float], None),
+                "gamma1": ([float], None), "gamma2": ([float], None)}, REQUIRED),
+        a2=(float, 0.0), T=(float, 200.0), oracle=(bool, True), propagation=(_PROPAGATION, {}),
+    ),
+    "closed-form": _command(
+        cmd_closed_form, params=(_ADO_PARAMS, REQUIRED), branch=(int, 1),
+        omega_grid=(_GRID, None), t_grid=(_GRID, None), quadrature=(_QUADRATURE, {}),
+    ),
 }
 
 
@@ -484,19 +482,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, declaration = COMMANDS[args.command]
     try:
         if args.tolerance is not None and not 0.0 < args.tolerance < np.inf:
             raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
-        cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "seed")
-        text, code = COMMANDS[args.command](cfg, seed, args.tolerance)
+        cfg = _read(_load_config(args.config), declaration, "")
+        seed = cfg["seed"] if args.seed is None else args.seed
+        text, code = handler(cfg, seed, args.tolerance)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except LziError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         # the library raises these only for bad arguments, and every argument here
         # comes from the config
         print(f"config error: {exc}", file=sys.stderr)

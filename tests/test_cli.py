@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lzi import cli
 from lzi.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -106,6 +107,23 @@ def test_verify_integrals_negative_control(tmp_path):
     report = json.loads(out.read_text())
     assert report["pass"] is False
     assert report["sections"]["ado"]["max_commutator_defect"] > 1e-4
+
+
+@pytest.mark.parametrize(
+    "suite, block, expected",
+    [
+        ("ado", {"n_values": [2, 3], "draws": 3, "break_parallelism": 0.1}, 1),
+        ("gaudin", {"sites": 3, "draws": 2, "lambda_values": [0.0, 0.5]}, 0),
+    ],
+)
+def test_verify_integrals_runs_only_the_suite_given(tmp_path, suite, block, expected):
+    # an absent suite block skips that suite; it is never run on its defaults
+    cfg = _write(tmp_path, "vi.json", {"schema_version": 1, suite: block})
+    out = tmp_path / "report.json"
+    assert _run(["verify-integrals", "--config", cfg, "--seed", "7", "--out", str(out)]) == expected
+    report = json.loads(out.read_text())
+    assert list(report["sections"]) == [suite]
+    assert report["pass"] is (expected == 0)
 
 
 def test_verify_integrals_deterministic_with_seed(tmp_path):
@@ -296,6 +314,16 @@ def test_lz_probability_thread_cap_is_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("LZI_THREADS", "2")
     assert _run(["lz-probability", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_lz_probability_thread_cap_below_one_exits_three(tmp_path, capsys, monkeypatch, threads):
+    cfg = _write(tmp_path, "lzp.json", _VALID["lz-probability"])
+    monkeypatch.setenv("LZI_THREADS", threads)
+    assert _run(["lz-probability", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "LZI_THREADS" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_form_frequency_table(tmp_path):
@@ -491,6 +519,21 @@ _CONFIG_ERRORS = {
     "ekz-zero-residual-step": ("verify-ekz", ("residual_step",), 0, None),
     "vi-gaudin-no-draws": ("verify-integrals", ("gaudin", "draws"), 0, None),
     "vi-ado-no-n-values": ("verify-integrals", ("ado", "n_values"), [], None),
+    # keys no command declares, and values of the wrong JSON type
+    "tm-propagation-thetta": ("transition-matrix", ("propagation", "thetta"), 0.25, None),
+    "vi-gaudin-k": ("verify-integrals", ("gaudin", "k"), 1, None),
+    "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None),
+    "tm-schema-version-true": ("transition-matrix", ("schema_version",), True, None),
+    "flow-model-x": ("spectral-flow", ("model",), "x", None),
+    "flow-model-ado": ("spectral-flow", ("model",), "ado", None),
+    "tm-T-string": ("transition-matrix", ("T",), "5", None),
+    "tm-T-integer-too-large-for-a-float": ("transition-matrix", ("T",), 10**400, None),
+    # mutually exclusive keys
+    "cf-omega-grid-and-t-grid": ("closed-form", ("t_grid",), _CF_TIME["t_grid"], None),
+    "lzp-points-and-gamma-lists": (
+        "lz-probability", ("sweep",),
+        {"points": [[0.3, 0.4, 0.5]], "gamma0": [0.3], "gamma1": [0.4], "gamma2": [0.5]}, None,
+    ),
 }
 
 
@@ -516,20 +559,46 @@ def _entries(obj, prefix=()):
 # the default horizon (T = 200) would make one propagation take seconds
 _KEEP = {("T",)}
 _FUZZ_VALUES = [_DELETE, "x", [1.0], {"k": 1}, None, True, -1, 0, 2.7]
+# the boolean keys that the "string boolean" mutation sets to "false" or "true"
+_BOOLEAN_KEYS = [("lz-probability", ("oracle",))] + [
+    (command, ("propagation", "verify")) for command in _VALID if "propagation" in _VALID[command]
+]
 
 
-@settings(max_examples=120, deadline=None)
+def _misspelt(command, path, index):
+    """The command's valid config with letter `index` of the key at `path` doubled."""
+    value = _VALID[command]
+    for key in path:
+        value = value[key]
+    key = path[-1]
+    renamed = path[:-1] + (key[: index + 1] + key[index:],)
+    return _mutated(command, renamed, value, base=_mutated(command, path, _DELETE))
+
+
+@settings(max_examples=180, deadline=None)
 @given(data=st.data())
 def test_fuzzed_config_exits_with_a_documented_code(data):
-    command = data.draw(st.sampled_from(sorted(_VALID)))
-    path = data.draw(st.sampled_from(list(_entries(_VALID[command]))))
-    value = data.draw(st.sampled_from(_FUZZ_VALUES[1:] if path in _KEEP else _FUZZ_VALUES))
+    mutation = data.draw(st.sampled_from(["value", "misspelt key", "string boolean"]))
+    if mutation == "string boolean":
+        command, path = data.draw(st.sampled_from(_BOOLEAN_KEYS))
+        cfg = _mutated(command, path, data.draw(st.sampled_from(["false", "true"])))
+    elif mutation == "misspelt key":
+        command = data.draw(st.sampled_from(sorted(_VALID)))
+        keys = [path for path in _entries(_VALID[command]) if isinstance(path[-1], str)]
+        path = data.draw(st.sampled_from(keys))
+        cfg = _misspelt(command, path, data.draw(st.integers(0, len(path[-1]) - 1)))
+    else:
+        command = data.draw(st.sampled_from(sorted(_VALID)))
+        path = data.draw(st.sampled_from(list(_entries(_VALID[command]))))
+        value = data.draw(st.sampled_from(_FUZZ_VALUES[1:] if path in _KEEP else _FUZZ_VALUES))
+        cfg = _mutated(command, path, value)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = _write(Path(tmp), "fuzz.json", _mutated(command, path, value))
+        cfg_path = _write(Path(tmp), "fuzz.json", cfg)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = _run([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2, 3)
+            code = _run([command, "--config", cfg_path, "--out", str(Path(tmp) / "out")])
+    # a misspelt key or a string boolean must never run on a default
+    assert code in ((0, 1, 2, 3) if mutation == "value" else (3,))
     assert "Traceback" not in err.getvalue()
 
 
@@ -541,3 +610,46 @@ def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, capsys, command):
     capsys.readouterr()
     assert _run([command, "--config", cfg]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def _readme_examples():
+    """(### heading or None, JSON object) for every example in README's "Command line"."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    heading, decoder = None, json.JSONDecoder()
+    for chunk in section.split("```"):
+        if chunk.startswith("json\n"):
+            body, pos = chunk[len("json"):], 0
+            while body[pos:].strip():
+                pos += len(body[pos:]) - len(body[pos:].lstrip())
+                example, pos = decoder.raw_decode(body, pos)
+                yield heading, example
+        else:
+            headings = [line[4:].strip() for line in chunk.splitlines() if line.startswith("### ")]
+            heading = headings[-1] if headings else heading
+
+
+def _undeclared(example, declaration, prefix=""):
+    for key, value in example.items():
+        if key not in declaration:
+            yield prefix + key
+            continue
+        kind = declaration[key][0]
+        if kind is cli._MODEL_PARAMS:
+            kind = kind[example["model"]]
+        if isinstance(kind, dict) and isinstance(value, dict):
+            yield from _undeclared(value, kind, f"{prefix}{key}.")
+
+
+def test_readme_examples_use_only_declared_keys():
+    examples = list(_readme_examples())
+    assert {heading for heading, _ in examples} >= set(cli.COMMANDS)
+    for heading, example in examples:
+        # the model blocks above the first heading belong to every command that takes that model
+        commands = [heading] if heading else [
+            name for name, (_, declaration) in cli.COMMANDS.items()
+            if "model" in declaration and example["model"] in declaration["model"][0]
+        ]
+        assert commands, example
+        for command in commands:
+            assert list(_undeclared(example, cli.COMMANDS[command][1])) == [], (command, example)
