@@ -37,7 +37,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._util import frozen_float_array, require_distinct
 from .errors import BranchPointError, DegenerateSpectralError, QuadratureError
@@ -490,6 +489,8 @@ class FourierResult:
 
 def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float,
                         taper: float, a: np.ndarray):
+    from scipy.integrate import quad  # on first use: it costs more than the rest of `import lzi`
+
     flat = 1.0 - taper
 
     def weight(om: float) -> float:

@@ -102,6 +102,7 @@ _MODEL = {"model": (tuple(_MODEL_PARAMS), REQUIRED), "params": (_MODEL_PARAMS, R
 _PROPAGATION = dict(_spec_keys(propagator.PropagationSpec, "rtol", "method", "base_step", "theta"),
                     verify=(bool, False))
 _QUADRATURE = _spec_keys(ado.QuadratureSpec)
+_BRANCH = ((1, -1), 1)  # the spinor branch m of the closed form
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -286,18 +287,20 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
     engine, grid = cfg["engine"], _grid(cfg["grid"], "grid")
     if engine != "oracle" and cfg["model"] != "ado":
         raise ConfigError("closed-form engine requires the ado model")
+    # the keys of both engines are checked whichever engine runs
+    sweep, dim = _sweep_model(cfg)
+    spec = propagator.PropagationSpec(grid[0], grid[-1], **cfg["propagation"])
+    qspec = ado.QuadratureSpec(**cfg["quadrature"])
+    init = cfg["initial_state"]
+    if not 0 <= init < dim:
+        raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
 
     if engine in ("oracle", "both"):
-        sweep, dim = _sweep_model(cfg)
-        spec = propagator.PropagationSpec(grid[0], grid[-1], **cfg["propagation"])
         psi0 = np.zeros(dim, dtype=complex)
         if engine == "both":
             xi_plus, _ = ado.spinor_eigenbasis(ado.b_vectors(ado.ADOParams(**cfg["params"])).unit_n)
             psi0[:2] = xi_plus
         else:
-            init = cfg["initial_state"]
-            if not 0 <= init < dim:
-                raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
             psi0[init] = 1.0
         frame = propagator.interaction_picture(sweep)
         traj = propagator.population_trajectory(
@@ -312,7 +315,6 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
 
     if engine in ("closed-form", "both"):
         sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
-        qspec = ado.QuadratureSpec(**cfg["quadrature"])
         if engine == "closed-form":
             header = ["t", "cf_p_0", "cf_p_1", "cf_total"]
             rows = []
@@ -445,7 +447,7 @@ COMMANDS = {
     ),
     "evolve": _command(
         cmd_evolve, **_MODEL, engine=(("oracle", "closed-form", "both"), "oracle"),
-        grid=(_GRID, REQUIRED), initial_state=(int, 0), branch=(int, 1),
+        grid=(_GRID, REQUIRED), initial_state=(int, 0), branch=_BRANCH,
         propagation=(_PROPAGATION, {}), quadrature=(_QUADRATURE, {}),
     ),
     "transition-matrix": _command(
@@ -458,7 +460,7 @@ COMMANDS = {
         a2=(float, 0.0), T=(float, 200.0), oracle=(bool, True), propagation=(_PROPAGATION, {}),
     ),
     "closed-form": _command(
-        cmd_closed_form, params=(_ADO_PARAMS, REQUIRED), branch=(int, 1),
+        cmd_closed_form, params=(_ADO_PARAMS, REQUIRED), branch=_BRANCH,
         omega_grid=(_GRID, None), t_grid=(_GRID, None), quadrature=(_QUADRATURE, {}),
     ),
 }

@@ -11,6 +11,8 @@ R_l also satisfy a zero-curvature identity in the w parameters,
 
 which :func:`kz_flatness_residual` evaluates with analytic derivatives (the
 only w dependence is through 1/(w_l - w_m) factors, so no step size enters).
+Every operator is a weighted sum of the exchange operators S_l . S_m, which
+are built once per site system (:func:`lzi.spin.site_operators`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ._util import require_distinct
 from .errors import SameSiteError
-from .spin import SiteSystem, commutator, dot_coupling, embed, max_abs, spin_generators
+from .spin import SiteSystem, commutator, max_abs, site_operators
 
 __all__ = [
     "SpectralConfig",
@@ -83,17 +85,22 @@ def _check_site(cfg: SpectralConfig, system: SiteSystem, site: int) -> None:
         raise IndexError(f"site {site} outside 0..{system.n_sites - 1}")
 
 
+def _exchange_sum(site: int, denominators, system: SiteSystem) -> np.ndarray:
+    """sum over m != site of S(site).S(m) / denominators[m], added in site order:
+    the per-term formula's own arithmetic, so results equal it bit for bit."""
+    exchange = site_operators(system)[1]
+    out = np.zeros((system.total_dim,) * 2, dtype=complex)
+    for other, den in enumerate(denominators):
+        if other != site:
+            out += exchange[site, other] / den
+    return out
+
+
 def gaudin_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
     """G_site = sum over other sites of S(site).S(other) / (w_site - w_other)."""
     _check_site(cfg, system, site)
     w = _weights(cfg)
-    dim = system.total_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for other in range(system.n_sites):
-        if other == site:
-            continue
-        out += dot_coupling(site, other, system) / (w[site] - w[other])
-    return out
+    return _exchange_sum(site, w[site] - w, system)
 
 
 def richardson_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
@@ -101,8 +108,7 @@ def richardson_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> n
     g = gaudin_integral(site, cfg, system)
     if cfg.lam == 0.0:
         return g
-    sz = spin_generators(system.reps[site])[2]
-    return cfg.lam * embed(sz, site, system) + g
+    return cfg.lam * site_operators(system)[0][site][2] + g
 
 
 def richardson_derivative(
@@ -116,25 +122,15 @@ def richardson_derivative(
     _check_site(cfg, system, site)
     _check_site(cfg, system, wrt)
     w = _weights(cfg)
+    # scalar squares: a numpy scalar ** 2 can round differently from an array's
     if wrt == site:
-        dim = system.total_dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for other in range(system.n_sites):
-            if other == site:
-                continue
-            out -= dot_coupling(site, other, system) / (w[site] - w[other]) ** 2
-        return out
-    return dot_coupling(site, wrt, system) / (w[site] - w[wrt]) ** 2
+        return _exchange_sum(site, [-(w[site] - x) ** 2 for x in w], system)
+    return site_operators(system)[1][site, wrt] / (w[site] - w[wrt]) ** 2
 
 
 def gaudin_hamiltonian(cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
     """2 * sum_l w_l G_l; commutes with every G_l."""
-    w = _weights(cfg)
-    dim = system.total_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for site in range(system.n_sites):
-        out += 2.0 * w[site] * gaudin_integral(site, cfg, system)
-    return out
+    return sum(2.0 * w_l * gaudin_integral(l, cfg, system) for l, w_l in enumerate(_weights(cfg)))
 
 
 @dataclass(frozen=True)

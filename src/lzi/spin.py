@@ -1,15 +1,16 @@
 """Dense spin operator matrices: su(2) generators for arbitrary spin, the
 u(2) Pauli basis, and Kronecker embeddings into multi-site tensor products.
 
-Operators are plain complex numpy arrays.  The matrix norm behind every
-tolerance statement in this package is the maximum absolute entry,
-exposed here as :func:`max_abs`.
+Operators are plain complex numpy arrays, built once per site system
+(:func:`site_operators`).  The matrix norm behind every tolerance statement
+in this package is the maximum absolute entry, exposed here as :func:`max_abs`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "pauli_u2_basis",
     "embed",
     "dot_coupling",
+    "site_operators",
     "commutator",
     "max_abs",
     "hermiticity_defect",
@@ -148,10 +150,21 @@ def dot_coupling(site_a: int, site_b: int, system: SiteSystem) -> np.ndarray:
     """Isotropic exchange S(site_a) . S(site_b) on the full tensor product."""
     if site_a == site_b:
         raise SameSiteError(f"need two distinct sites, got {site_a} twice")
-    gen_a = spin_generators(system.reps[site_a])
-    gen_b = spin_generators(system.reps[site_b])
-    dim = system.total_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for ga, gb in zip(gen_a, gen_b):
-        out += embed(ga, site_a, system) @ embed(gb, site_b, system)
-    return out
+    if not (0 <= site_a < system.n_sites and 0 <= site_b < system.n_sites):
+        raise IndexError(f"sites ({site_a}, {site_b}) outside 0..{system.n_sites - 1}")
+    return site_operators(system)[1][site_a, site_b].copy()
+
+
+@lru_cache(maxsize=8)
+def site_operators(system: SiteSystem):
+    """(generators, exchange) of `system`, built once by Kronecker products and
+    shared read-only (n (n + 5) / 2 matrices): generators[l] is (Sx, Sy, Sz) of
+    site l embedded, and exchange[l, m] = exchange[m, l] is S(l) . S(m)."""
+    gens = [[embed(g, l, system) for g in spin_generators(rep)] for l, rep in enumerate(system.reps)]
+    exchange = {}
+    for a, b in itertools.combinations(range(system.n_sites), 2):
+        # one product per entry, so S(a).S(b) and S(b).S(a) agree bit for bit
+        exchange[a, b] = exchange[b, a] = sum(ga @ gb for ga, gb in zip(gens[a], gens[b]))
+    for op in itertools.chain(exchange.values(), *gens):
+        op.setflags(write=False)
+    return gens, exchange

@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -132,6 +135,22 @@ def test_verify_integrals_deterministic_with_seed(tmp_path):
     _run(["verify-integrals", "--config", cfg, "--seed", "3", "--out", str(out1)])
     _run(["verify-integrals", "--config", cfg, "--seed", "3", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "break_parallelism, golden, expected",
+    [
+        (0.0, "verify_integrals_readme_seed0_golden.json", 0),
+        (0.1, "verify_integrals_broken_parallelism_seed0_golden.json", 1),
+    ],
+)
+def test_verify_integrals_readme_config_matches_golden_file(tmp_path, break_parallelism, golden, expected):
+    config = next(example for heading, example in _readme_examples() if heading == "verify-integrals")
+    config["ado"]["break_parallelism"] = break_parallelism
+    cfg = _write(tmp_path, "vi.json", config)
+    out = tmp_path / "report.json"
+    assert _run(["verify-integrals", "--config", cfg, "--seed", "0", "--out", str(out)]) == expected
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_verify_ekz_passes(tmp_path):
@@ -476,6 +495,7 @@ _CF_TIME = dict(
     quadrature={"tolerance": 0.01},
 )
 _CF_TIME.pop("omega_grid")
+_EVOLVE_CF = dict(_VALID["evolve"], model="ado", params=_ADO, engine="closed-form")
 
 # (command, path, value, base config if not the command's valid one)
 _CONFIG_ERRORS = {
@@ -528,6 +548,18 @@ _CONFIG_ERRORS = {
     "flow-model-ado": ("spectral-flow", ("model",), "ado", None),
     "tm-T-string": ("transition-matrix", ("T",), "5", None),
     "tm-T-integer-too-large-for-a-float": ("transition-matrix", ("T",), 10**400, None),
+    # keys of the engine that does not run
+    "evolve-oracle-closed-form-keys": (
+        "evolve", ("quadrature",), {"tolerance": -1}, dict(_VALID["evolve"], branch=5)
+    ),
+    "evolve-oracle-branch-five": ("evolve", ("branch",), 5, None),
+    "evolve-oracle-negative-quadrature-tolerance": ("evolve", ("quadrature",), {"tolerance": -1}, None),
+    "evolve-closed-form-oracle-keys": (
+        "evolve", ("propagation",), {"theta": -1, "method": "euler"}, dict(_EVOLVE_CF, initial_state=7)
+    ),
+    "evolve-closed-form-initial-state-seven": ("evolve", ("initial_state",), 7, _EVOLVE_CF),
+    "evolve-closed-form-negative-theta": ("evolve", ("propagation", "theta"), -1, _EVOLVE_CF),
+    "evolve-closed-form-method-euler": ("evolve", ("propagation", "method"), "euler", _EVOLVE_CF),
     # mutually exclusive keys
     "cf-omega-grid-and-t-grid": ("closed-form", ("t_grid",), _CF_TIME["t_grid"], None),
     "lzp-points-and-gamma-lists": (
@@ -653,3 +685,13 @@ def test_readme_examples_use_only_declared_keys():
         assert commands, example
         for command in commands:
             assert list(_undeclared(example, cli.COMMANDS[command][1])) == [], (command, example)
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # the quadrature is imported on first use, so commands that never integrate skip it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, lzi.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

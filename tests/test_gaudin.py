@@ -196,3 +196,42 @@ def test_degenerate_parameters_rejected():
         lzi.SpectralConfig(w=(1.0, 1.0 + 1e-12))
     with pytest.raises(ValueError):
         lzi.SpectralConfig(w=(0.0, 1.0), level_shift=0.0)
+
+
+def _per_term(site, cfg, system, power):
+    """sum over m != site of S(site).S(m) / (w_site - w_m) ** power, term by term."""
+    w = np.asarray(cfg.w).real
+    out = np.zeros((system.total_dim,) * 2, dtype=complex)
+    for other in range(system.n_sites):
+        if other != site:
+            out += lzi.dot_coupling(site, other, system) / (w[site] - w[other]) ** power
+    return out
+
+
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5, 0.5), (0.5, 1.0, 1.5)])
+def test_families_equal_the_per_term_sums_bitwise(spins):
+    system = lzi.SiteSystem(tuple(lzi.SpinRep(s) for s in spins))
+    w = np.random.default_rng(5).uniform(-2.0, 2.0, len(spins))
+    cfg = lzi.SpectralConfig(w=tuple(w), lam=0.7)
+    sz = [lzi.embed(lzi.spin_generators(rep)[2], l, system) for l, rep in enumerate(system.reps)]
+    for site in range(system.n_sites):
+        g = _per_term(site, cfg, system, 1)
+        assert np.array_equal(lzi.gaudin_integral(site, cfg, system), g)
+        assert np.array_equal(lzi.richardson_integral(site, cfg, system), cfg.lam * sz[site] + g)
+        assert np.array_equal(
+            lzi.richardson_derivative(site, cfg, system, wrt=site), -_per_term(site, cfg, system, 2)
+        )
+        for other in range(system.n_sites):
+            if other != site:
+                expected = lzi.dot_coupling(site, other, system) / (w[site] - w[other]) ** 2
+                assert np.array_equal(lzi.richardson_derivative(site, cfg, system, wrt=other), expected)
+
+
+def test_mutating_a_returned_family_operator_leaves_the_next_call_unchanged():
+    system = lzi.SiteSystem.uniform(3)
+    cfg = lzi.SpectralConfig(w=(0.0, 1.0, 2.5), lam=0.5)
+    for family in (lzi.gaudin_integral, lzi.richardson_integral):
+        first = family(1, cfg, system)
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(family(1, cfg, system), expected)

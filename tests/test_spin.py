@@ -1,9 +1,13 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lzi
+from lzi import spin
 from lzi.errors import DimensionError, SameSiteError
 
 
@@ -167,3 +171,56 @@ def test_commutator_dimension_mismatch():
 def test_site_system_total_dim():
     system = lzi.SiteSystem((lzi.SpinRep(0.5), lzi.SpinRep(1.0), lzi.SpinRep(0.5)))
     assert system.total_dim == 2 * 3 * 2
+
+
+def _kron_exchange(spins, site_a, site_b):
+    """S(site_a).S(site_b) from explicit Kronecker products of every site's factor."""
+    out = 0
+    for gens in zip(*(lzi.spin_generators(lzi.SpinRep(s)) for s in spins)):
+        eyes = [np.eye(len(g)) for g in gens]
+        g_a = functools.reduce(np.kron, eyes[:site_a] + [gens[site_a]] + eyes[site_a + 1:])
+        g_b = functools.reduce(np.kron, eyes[:site_b] + [gens[site_b]] + eyes[site_b + 1:])
+        out = out + g_a @ g_b
+    return out
+
+
+def test_operator_cache_separates_systems_of_equal_site_count():
+    mixed = lzi.SiteSystem(tuple(lzi.SpinRep(s) for s in (0.5, 1.0, 1.5)))
+    uniform = lzi.SiteSystem.uniform(3)
+    # interleaved calls: a shared entry would hand one system the other's operator
+    for spins, system in [((0.5, 1.0, 1.5), mixed), ((0.5, 0.5, 0.5), uniform)] * 2:
+        _, exchange = spin.site_operators(system)
+        for site_a, site_b in itertools.permutations(range(3), 2):
+            reference = _kron_exchange(spins, site_a, site_b)
+            assert lzi.max_abs(lzi.dot_coupling(site_a, site_b, system) - reference) < 1e-14
+            assert lzi.max_abs(exchange[site_a, site_b] - reference) < 1e-14
+    assert spin.site_operators(mixed)[1][0, 1].shape == (24, 24)
+    assert spin.site_operators(uniform)[1][0, 1].shape == (8, 8)
+
+
+def test_cached_operators_are_read_only():
+    system = lzi.SiteSystem((lzi.SpinRep(0.5), lzi.SpinRep(1.0), lzi.SpinRep(0.5)))
+    generators, exchange = spin.site_operators(system)
+    ops = list(exchange.values()) + [g for site in generators for g in site]
+    assert len(ops) == 6 + 9
+    for op in ops:
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
+def test_returned_operators_are_fresh_writable_copies():
+    system = lzi.SiteSystem.uniform(3)
+    sz = lzi.spin_generators(lzi.SpinRep(0.5))[2]
+    for make in (lambda: lzi.embed(sz, 1, system), lambda: lzi.dot_coupling(0, 2, system)):
+        first = make()
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(make(), expected)
+
+
+def test_dot_coupling_site_out_of_range():
+    system = lzi.SiteSystem.uniform(3)
+    for site_a, site_b in [(0, 3), (-1, 0), (3, 4)]:
+        with pytest.raises(IndexError):
+            lzi.dot_coupling(site_a, site_b, system)
