@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import lzi
@@ -11,6 +12,7 @@ from lzi import propagator
 from lzi.propagator import (
     _as_sweep,
     _expm_i_batch,
+    _mul,
     _operator_on_grid,
     _pairwise_product,
     _time_grid,
@@ -116,13 +118,50 @@ def test_pairwise_product_matches_sequential_left_multiplication(length):
     assert np.abs(_pairwise_product(mats) - sequential).max() < 1e-13
 
 
-@pytest.mark.parametrize("method", ["cf4-fixed", "rk4-fixed", "magnus2-fixed"])
+@pytest.mark.parametrize("method", ["magnus4-fixed", "cf4-fixed", "rk4-fixed", "magnus2-fixed"])
 def test_operator_on_grid_is_the_same_across_chunk_boundaries(method, monkeypatch):
     frame = lzi.interaction_picture(_do3_sweep())
     ts = np.linspace(-3.0, 3.0, 61)
     whole = _operator_on_grid(frame, ts, method)
-    monkeypatch.setattr(propagator, "_CHUNK", 7 * 4**2)  # 7 steps of a 4-level model per block
+    monkeypatch.setattr(propagator, "_BATCH_STEPS", 7)  # 7 steps per block
     assert np.abs(_operator_on_grid(frame, ts, method) - whole).max() < 1e-14
+
+
+def _einsum_product(a, b):
+    return np.einsum("ikn,kjn->ijn", a, b)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("matmul_levels", [propagator._MATMUL_LEVELS, 9])
+def test_stacked_product_matches_per_step_product(dim, matmul_levels, monkeypatch):
+    # with the threshold at 9 every size takes the d^3 row loop; at its
+    # default, 5 and 8 levels take matmul on the steps-first view
+    monkeypatch.setattr(propagator, "_MATMUL_LEVELS", matmul_levels)
+    rng = np.random.default_rng(dim)
+    x = _hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, 33))
+    y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    assert np.abs(_mul(x, y) - _einsum_product(x, y)).max() < 1e-14 * dim
+    x2 = _mul(x, x)
+    herm = _mul(x, x, hermitian=True)
+    assert np.abs(herm - x2).max() < 1e-15 * dim * np.abs(x2).max()
+    x3 = _einsum_product(x, x2)
+    assert np.abs(_mul(x, herm, hermitian=True) - x3).max() < 1e-15 * dim * np.abs(x3).max()
+    if dim < matmul_levels:
+        # the row loop fills the lower triangle with exact conjugates
+        assert np.array_equal(herm, np.conj(herm.transpose(1, 0, 2)))
+
+
+def test_eight_level_operator_is_the_same_on_either_layout(monkeypatch):
+    params = lzi.DOParams(
+        gamma=[1.0, 0.5, -0.4, 0.3, 0.45, -0.35, 0.55, 0.4],
+        epsilon=[0.0, 1.0, -2.0, 3.0, -1.5, 2.5, -3.0, 1.8],
+    )
+    frame = lzi.interaction_picture(lzi.do_sweep(lzi.entries_from_gamma(params)))
+    ts = np.linspace(-3.0, 3.0, 61)
+    steps_first = _operator_on_grid(frame, ts, "magnus4-fixed")
+    monkeypatch.setattr(propagator, "_MATMUL_LEVELS", 9)
+    levels_first = _operator_on_grid(frame, ts, "magnus4-fixed")
+    assert np.abs(steps_first - levels_first).max() < 1e-13
 
 
 def test_zero_hamiltonian_is_identity():
@@ -226,7 +265,7 @@ def test_generic_callable_hamiltonian_supported():
 
 @pytest.mark.parametrize(
     "method,order",
-    [("cf4-fixed", 4.0), ("rk4-fixed", 4.0), ("magnus2-fixed", 2.0)],
+    [("magnus4-fixed", 4.0), ("cf4-fixed", 4.0), ("rk4-fixed", 4.0), ("magnus2-fixed", 2.0)],
 )
 def test_fixed_step_convergence_orders(method, order):
     sweep = _lz_sweep(coupling=0.5)
@@ -277,6 +316,57 @@ def test_shared_window_matches_direct_propagation_over_2T():
     direct = lzi.PropagationSpec(t0=-2.0 * horizon, t1=2.0 * horizon, verify=False)
     u, _ = lzi.evolve_operator(lzi.interaction_picture(sweep), direct)
     assert np.abs(result.matrix_at_2T - np.abs(u) ** 2).max() < 1e-9
+
+
+def _dop853_table(sweep, horizon):
+    """|U|^2 over [-horizon, horizon] from scipy's DOP853 at rtol 1e-11, in the
+    interaction picture: dc/dt = i exp(-i Lambda) H_off exp(i Lambda) c, with
+    Lambda the integral of the diagonal; the slope matrix must be diagonal."""
+    slopes = np.real(np.diag(sweep.d))
+    assert np.array_equal(sweep.d, np.diag(slopes))
+    offsets = np.real(np.diag(sweep.a))
+    off = sweep.a - np.diag(offsets)
+    dim = off.shape[0]
+
+    def rhs(t, y):
+        phase = np.exp(1j * (offsets * t + 0.5 * slopes * t * t))
+        return (1j * ((np.conj(phase)[:, None] * off * phase) @ y.reshape(dim, dim))).ravel()
+
+    sol = solve_ivp(rhs, (-horizon, horizon), np.eye(dim, dtype=complex).ravel(),
+                    method="DOP853", rtol=1e-11, atol=1e-13)
+    assert sol.success
+    return np.abs(sol.y[:, -1].reshape(dim, dim)) ** 2
+
+
+@pytest.mark.parametrize("model", ["do-3", "ado", "bow-tie-2"])
+def test_default_engine_tables_match_dop853(model):
+    sweep = {
+        "do-3": DO3,
+        "ado": lzi.ado_sweep(lzi.ADOParams(gamma=[0.3, 0.4, 0.5], a=[0.0])),
+        "bow-tie-2": BOW_TIE2,
+    }[model]
+    horizon = 10.0
+    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+    assert spec.method == "magnus4-fixed"
+    result = lzi.transition_matrix(sweep, horizon, spec)
+    for table, window in ((result.matrix_at_T, horizon), (result.matrix_at_2T, 2.0 * horizon)):
+        assert np.abs(table - _dop853_table(sweep, window)).max() < 1e-7
+
+
+def test_magnus4_equal_slope_populations_stay_at_cf4_accuracy():
+    # the ado sloped pair has equal slopes; without its fifth-order term
+    # [C, H2 - H1] the Magnus-4 step puts these 2T populations 2.3e-8 off a
+    # four-times-finer CF4 run at theta 0.25, against 3.0e-9 for CF4 itself
+    frame = lzi.interaction_picture(
+        lzi.ado_sweep(lzi.ADOParams(gamma=[0.533207, 0.591832, 0.345859], a=[-0.704823]))
+    )
+
+    def populations(theta, method):
+        spec = lzi.PropagationSpec(t0=-100.0, t1=100.0, theta=theta, verify=False)
+        return np.abs(_operator_on_grid(frame, _time_grid(frame, spec), method)) ** 2
+
+    fine = populations(0.25 / 4, "cf4-fixed")
+    assert np.abs(populations(0.25, "magnus4-fixed") - fine).max() < 5e-9
 
 
 def test_interaction_picture_of_plain_callable_needs_diag_integral():
