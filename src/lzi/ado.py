@@ -21,10 +21,11 @@ closed form (:func:`closed_form_solution`).
 
 Conventions fixed here and pinned by tests:
 
-* Four-vector contraction b.b' is Euclidean over all four components.
-* The classical-classical sum in H_k runs symmetrically over k' != k (the
-  one-sided variant is available via classical_sum="upper" for comparison;
-  it breaks the scalar part of the zero-curvature identity).
+* The four-vector product b.b' is Euclidean over all four components (a
+  spatial-only product fails the a_k equations of the closed form).
+* The classical-classical sum in H_k runs symmetrically over k' != k (a
+  one-sided sum breaks the scalar part of the zero-curvature identity).
+  The tests build both wrong variants as negative controls.
 * Complex powers (omega - a_k)^(-i beta) use the principal logarithm with
   the omega + i0 prescription: arg = 0 above the branch point, +pi below.
 * The assembled solution includes the exp(i omega^2 / 2) factor, so it
@@ -226,14 +227,6 @@ def _contract(b4: np.ndarray) -> np.ndarray:
     return sum(b4[mu] * _PAULI[mu] for mu in range(4))
 
 
-def _dot4(x: np.ndarray, y: np.ndarray, contraction: str) -> float:
-    if contraction == "euclidean":
-        return float(np.dot(x, y))
-    if contraction == "spatial":
-        return float(np.dot(x[1:], y[1:]))
-    raise ValueError(f"unknown contraction {contraction!r}")
-
-
 def _check_pole(b: BVectorSet, omega: float) -> None:
     if b.a.size and np.any(omega == b.a):
         raise DegenerateSpectralError(f"omega = {omega!r} sits on a flat-level pole")
@@ -248,17 +241,14 @@ def ekz_hamiltonian_h1(b: BVectorSet, omega: float) -> np.ndarray:
     return out
 
 
-def ekz_hk_scalar(b: BVectorSet, k: int, classical_sum: str = "symmetric",
-                  contraction: str = "euclidean") -> float:
-    """Classical-classical part of H_k (labels k = 2..n)."""
+def ekz_hk_scalar(b: BVectorSet, k: int) -> float:
+    """Classical-classical part of H_k (labels k = 2..n): the sum of
+    b_k.b_k' / (a_k - a_k') over every k' != k."""
     j = _classical_index(b, k)
     out = 0.0
     for jp in range(b.n_classical):
-        if jp == j:
-            continue
-        if classical_sum == "upper" and jp < j:
-            continue
-        out += _dot4(b.bk[j], b.bk[jp], contraction) / (b.a[j] - b.a[jp])
+        if jp != j:
+            out += float(np.dot(b.bk[j], b.bk[jp])) / (b.a[j] - b.a[jp])
     return out
 
 
@@ -268,38 +258,25 @@ def _classical_index(b: BVectorSet, k: int) -> int:
     return k - 2
 
 
-def ekz_hamiltonian_hk(
-    b: BVectorSet,
-    k: int,
-    omega: float,
-    classical_sum: str = "symmetric",
-    contraction: str = "euclidean",
-) -> np.ndarray:
+def ekz_hamiltonian_hk(b: BVectorSet, k: int, omega: float) -> np.ndarray:
     """Companion operator for flat level k (labels k = 2..n):
 
     scalar part * identity + bk.S / (a_k - omega).
-
-    classical_sum="upper" reproduces the one-sided sum variant for
-    comparison; it spoils the scalar zero-curvature identity.
     """
     _check_pole(b, omega)
     j = _classical_index(b, k)
-    scalar = ekz_hk_scalar(b, k, classical_sum=classical_sum, contraction=contraction)
-    return scalar * np.eye(2, dtype=complex) + _contract(b.bk[j]) / (b.a[j] - omega)
+    return ekz_hk_scalar(b, k) * np.eye(2, dtype=complex) + _contract(b.bk[j]) / (b.a[j] - omega)
 
 
-def zero_curvature_residual(
-    b: BVectorSet,
-    i: int,
-    j: int,
-    omega: float,
-    classical_sum: str = "symmetric",
-    contraction: str = "euclidean",
-) -> float:
-    """|| d_i H_j - d_j H_i - [H_i, H_j] || with analytic derivatives.
+def zero_curvature_residual(b: BVectorSet, i: int, j: int, omega: float) -> float:
+    """|| d_i H_j - d_j H_i - [H_i, H_j] ||, spectral labels running over
+    {0, 2, .., n} with 0 standing for omega.
 
-    Spectral labels run over {0, 2, .., n} with 0 standing for omega.
-    Vanishes below 1e-12 for parallel couplings with the symmetric sum.
+    The two derivatives are the same array bit for bit: for omega and a flat
+    level k both are bk.S / (a_k - omega)^2, and for two flat levels the
+    symmetric sum makes both b_i.b_j / (a_i - a_j)^2 times the identity.  So
+    the residual is max_abs([H_i, H_j]), which vanishes below 1e-12 for
+    parallel couplings.
     """
     labels = {0} | set(range(2, b.n_classical + 2))
     if i == j:
@@ -308,25 +285,8 @@ def zero_curvature_residual(
         raise IndexError(f"labels must lie in {sorted(labels)}, got ({i}, {j})")
     if i != 0 and j == 0:
         i, j = j, i  # residual is symmetric up to sign; normalize order
-    h_i = ekz_hamiltonian_h1(b, omega) if i == 0 else ekz_hamiltonian_hk(
-        b, i, omega, classical_sum=classical_sum, contraction=contraction
-    )
-    h_j = ekz_hamiltonian_hk(b, j, omega, classical_sum=classical_sum, contraction=contraction)
-    jj = _classical_index(b, j)
-    if i == 0:
-        # d_omega H_j and d_{a_j} H_1 are both bk.S / (a_j - omega)^2
-        d_i_of_j = _contract(b.bk[jj]) / (b.a[jj] - omega) ** 2
-        d_j_of_i = _contract(b.bk[jj]) / (omega - b.a[jj]) ** 2
-    else:
-        ji = _classical_index(b, i)
-        gap2 = (b.a[jj] - b.a[ji]) ** 2
-        g = _dot4(b.bk[ji], b.bk[jj], contraction)
-        include_ij = classical_sum == "symmetric" or ji > jj
-        include_ji = classical_sum == "symmetric" or jj > ji
-        eye = np.eye(2, dtype=complex)
-        d_i_of_j = (g / gap2) * eye if include_ij else np.zeros((2, 2), dtype=complex)
-        d_j_of_i = (g / gap2) * eye if include_ji else np.zeros((2, 2), dtype=complex)
-    return max_abs(d_i_of_j - d_j_of_i - commutator(h_i, h_j))
+    h_i = ekz_hamiltonian_h1(b, omega) if i == 0 else ekz_hamiltonian_hk(b, i, omega)
+    return max_abs(commutator(h_i, ekz_hamiltonian_hk(b, j, omega)))
 
 
 def spinor_eigenbasis(unit_n) -> tuple:
@@ -469,8 +429,10 @@ class QuadratureSpec:
     taper_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.initial_window <= 0:
-            raise ValueError("tolerance and initial_window must be positive")
+        for name in ("tolerance", "initial_window"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_doublings < 1:
             raise ValueError("need at least one window doubling to verify convergence")
         if not 0.0 < self.taper_fraction < 0.5:

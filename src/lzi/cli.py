@@ -9,7 +9,8 @@ fixed config and seed.
 Each `COMMANDS` entry pairs a handler with the JSON type and default of every
 config key it takes.  `_read` checks a config against them before the handler
 runs: an unknown key, a missing required key or a value of the wrong JSON type
-(a string or boolean for a number, a string for a boolean) is a config error.
+(a string or boolean for a number, a string for a boolean) is a config error,
+and so is a number that is not finite (NaN, Infinity, or one that overflows).
 
 Exit codes: 0 success, 1 verification failure, 2 numerical/engine error,
 3 config error (including any config value the library rejects).  The env
@@ -44,10 +45,18 @@ REQUIRED = object()
 _JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string"}
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, +-Infinity and overflowing literals are config errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

@@ -168,6 +168,10 @@ def kz_flatness_residual(
     """Zero-curvature residual for the pair (site_a, site_b):
 
     || d_{w_a} R_b - d_{w_b} R_a - [R_a, R_b] / level_shift ||
+
+    Both derivatives are S_a.S_b / (w_a - w_b)^2, the same array bit for bit,
+    so the value equals max_abs([R_a, R_b] / level_shift): the commutator
+    defect scaled by 1 / level_shift, not an independent check.
     """
     if site_a == site_b:
         raise SameSiteError("flatness residual needs two distinct sites")

@@ -1,6 +1,8 @@
-"""Brute-force integration of  -i dpsi/dt = H(t) psi.
+"""Brute-force integration of  -i dpsi/dt = H(t) psi  for a linear sweep.
 
-Sign convention: psi(t) = exp(+i H t) psi(0) for constant H (pinned by a
+The input is an AffineHamiltonian H(t) = A + t D or its InteractionPicture;
+anything else, a plain callable t -> H(t) included, is a TypeError.  Sign
+convention: psi(t) = exp(+i H t) psi(0) for constant H (pinned by a
 regression test against the matrix exponential).
 
 The default engine, "magnus4-fixed", is a fourth-order Magnus integrator:
@@ -11,10 +13,10 @@ nodes.  "cf4-fixed" (commutator-free, two exponentials per step),
 checks.  Every exponential is a Taylor series truncated below roundoff
 (with scaling and squaring for large steps), so each step is unitary to
 roundoff.  A step obeys h <= min(base_step, theta / (1 + rate)) at its left
-end, rate being the
-diagonal spread in the interaction picture (else the largest entry), which
-resolves the oscillatory far tails of a linear sweep without a globally tiny
-step; the grid inverts the integrated step density in a few array passes.
+end, rate being the diagonal spread in the interaction picture (in the lab
+frame, the largest entry), which resolves the oscillatory far tails of a
+linear sweep without a globally tiny step; the grid inverts the integrated
+step density in a few array passes.
 Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held as
 (d, d, N) stacks: below _MATMUL_LEVELS = 5 levels the stacks are levels first
 and a stacked product is d^3 multiply-adds on length-N rows; from 5 levels up
@@ -63,9 +65,9 @@ class PropagationSpec:
     method is "magnus4-fixed" (default, one exponential per step), or one of
     the reference engines "cf4-fixed", "rk4-fixed", "magnus2-fixed".
     `base_step` defaults to 0.01; `theta` is the local phase budget per step
-    (radians); both must be positive and finite.  `max_steps` caps the steps
-    of a whole call.  With verify=True runs are repeated at half step and must
-    agree within rtol.
+    (radians); both, like rtol, must be positive and finite.  `max_steps`
+    caps the steps of a whole call.  With verify=True runs are repeated at
+    half step and must agree within rtol.
     """
 
     t0: float
@@ -80,11 +82,10 @@ class PropagationSpec:
     def __post_init__(self):
         if not self.t0 < self.t1:
             raise ValueError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
-        if self.rtol <= 0:
-            raise ValueError("rtol must be positive")
         if self.method not in _BLOCKS:
             raise ValueError(f"unknown method {self.method!r}")
-        for name, value in (("base_step", self.base_step), ("theta", self.theta)):
+        for name in ("rtol", "base_step", "theta"):
+            value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
@@ -154,23 +155,6 @@ class AffineHamiltonian:
         return np.abs(self.eval_many(ts)).max(axis=(0, 1))
 
 
-@dataclass(frozen=True)
-class _CallableSweep:
-    """AffineHamiltonian's stacked evaluation and rates for a plain callable t -> H(t)."""
-
-    fn: object
-
-    def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(self.fn(t), dtype=complex) for t in ts], axis=-1)
-
-    def diag_spread(self, ts: np.ndarray) -> np.ndarray:
-        diag = np.real(np.diagonal(self.eval_many(ts)))
-        return diag.max(axis=1) - diag.min(axis=1)
-
-    def resolution_rate(self, ts: np.ndarray) -> np.ndarray:
-        return np.abs(self.eval_many(ts)).max(axis=(0, 1))
-
-
 class InteractionPicture:
     """Frame with the instantaneous diagonal of H removed.
 
@@ -178,18 +162,14 @@ class InteractionPicture:
     transformed generator is exp(-i Lambda) H_offdiag exp(i Lambda): its
     off-diagonal magnitudes equal those of H and diabatic populations are
     unchanged, while the amplitudes acquire well-defined limits as t -> +-inf
-    for a linear sweep.  A plain callable base needs `diag_integral(ts)`, the
-    integral from 0 to t of its real diagonal per time in `ts`.
+    for a linear sweep.
     """
 
-    def __init__(self, base, diag_integral=None):
-        if diag_integral is None and not isinstance(base, AffineHamiltonian):
-            raise ValueError("a plain callable needs diag_integral for the interaction picture")
-        self.base = _as_sweep(base)
-        self._lambdas = base.diag_phase_integral if diag_integral is None else diag_integral
+    def __init__(self, base: AffineHamiltonian):
+        self.base = _checked(base, AffineHamiltonian)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * np.asarray(self._lambdas(ts), dtype=float).T)
+        phase = np.exp(1j * self.base.diag_phase_integral(ts).T)
         h = self.base.eval_many(ts) * phase[None, :, :]
         h *= np.conj(phase)[:, None, :]
         idx = np.arange(h.shape[0])
@@ -209,22 +189,25 @@ class InteractionPicture:
         lab states must be converted before propagating in this frame; for a
         single basis state the conversion is only a global phase.
         """
-        lam = np.asarray(self._lambdas(np.array([float(t)])), dtype=float)[0]
+        lam = self.base.diag_phase_integral(np.array([float(t)]))[0]
         return np.exp(-1j * lam) * np.asarray(psi_lab, dtype=complex)
 
     def to_lab(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Inverse of :meth:`to_interaction`."""
-        lam = np.asarray(self._lambdas(np.array([float(t)])), dtype=float)[0]
+        lam = self.base.diag_phase_integral(np.array([float(t)]))[0]
         return np.exp(1j * lam) * np.asarray(psi, dtype=complex)
 
 
-def interaction_picture(h, diag_integral=None) -> InteractionPicture:
-    """Wrap an AffineHamiltonian, or a callable with diag_integral, in the co-rotating frame."""
-    return InteractionPicture(h, diag_integral)
+def interaction_picture(h: AffineHamiltonian) -> InteractionPicture:
+    """Wrap an AffineHamiltonian in the co-rotating frame."""
+    return InteractionPicture(h)
 
 
-def _as_sweep(h):
-    return h if isinstance(h, (AffineHamiltonian, InteractionPicture)) else _CallableSweep(h)
+def _checked(h, kinds=(AffineHamiltonian, InteractionPicture)):
+    """h itself, if it is one of the sweep types the propagator takes."""
+    if not isinstance(h, kinds):
+        raise TypeError(f"a sweep must be an AffineHamiltonian A + t D, got {type(h).__name__}")
+    return h
 
 
 def _stack(h, ts: np.ndarray) -> np.ndarray:
@@ -356,8 +339,10 @@ def _time_grid(h, spec: PropagationSpec, cuts=()) -> np.ndarray:
         ts = np.insert(ts, left + 1, ts[left] + rank * (steps / parts)[left])
 
 
-def _pieces(ts: np.ndarray, cuts) -> list:
-    """Sub-grids of ts between consecutive cuts, each sharing its end nodes."""
+def _pieces(h, spec: PropagationSpec, cuts=()) -> list:
+    """The step grid of a sweep over [t0, t1] through every cut, split at the
+    cuts into sub-grids that share their end nodes: every propagation's grid."""
+    ts = _time_grid(_checked(h), spec, cuts)
     bounds = np.concatenate([[0], np.searchsorted(ts, cuts), [ts.size - 1]])
     return [ts[lo : hi + 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -471,8 +456,8 @@ def evolve_operator(h, spec: PropagationSpec):
     """Full propagator over [t0, t1]; returns (U, error_estimate), the estimate
     being the max-abs difference against a half-step rerun when verify is set
     (NumericalError above rtol), else None."""
-    sweep = _as_sweep(h)
-    return _evolve_on_grid(sweep, _time_grid(sweep, spec), spec)
+    (grid,) = _pieces(h, spec)
+    return _evolve_on_grid(h, grid, spec)
 
 
 def propagate(h, psi0, spec: PropagationSpec) -> WaveState:
@@ -487,14 +472,14 @@ def propagate(h, psi0, spec: PropagationSpec) -> WaveState:
 
 
 def population_trajectory(h, psi0, spec: PropagationSpec, sample_times) -> np.ndarray:
-    """Amplitudes at each requested time (complex array, samples x dim)."""
+    """Amplitudes at each requested time (complex array, samples x dim); with
+    verify set, each stretch between samples passes the step-halving check."""
     samples = np.asarray(sample_times, dtype=float)
     if np.any(samples < spec.t0) or np.any(samples > spec.t1) or np.any(np.diff(samples) <= 0):
         raise ValueError("sample_times must be increasing and inside [t0, t1]")
-    sweep = _as_sweep(h)
     psi, out = np.asarray(psi0, dtype=complex), []
-    for piece in _pieces(_time_grid(sweep, spec, cuts=samples), samples)[:-1]:
-        psi = _operator_on_grid(sweep, piece, spec.method) @ psi
+    for piece in _pieces(h, spec, samples)[:-1]:
+        psi = _evolve_on_grid(h, piece, spec)[0] @ psi
         out.append(psi)
     return np.array(out)
 
@@ -507,15 +492,13 @@ def transition_matrix(model, horizon: float, spec: PropagationSpec | None = None
     to the infinite-horizon limit assuming 1/T corrections (P_inf ~ 2 P(2T) -
     P(T)).  `spec.max_steps` bounds the steps of the whole run.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     ip = model if isinstance(model, InteractionPicture) else interaction_picture(model)
     base = spec or PropagationSpec(t0=-horizon, t1=horizon, verify=False)
     run = replace(base, t0=-2.0 * horizon, t1=2.0 * horizon)
     cuts = (-horizon, horizon)
-    u_left, u_mid, u_right = (
-        _evolve_on_grid(ip, piece, run)[0] for piece in _pieces(_time_grid(ip, run, cuts), cuts)
-    )
+    u_left, u_mid, u_right = (_evolve_on_grid(ip, p, run)[0] for p in _pieces(ip, run, cuts))
     tables = []
     for u in (u_mid, u_right @ u_mid @ u_left):
         unito = max_abs(u @ np.conj(u.T) - np.eye(u.shape[0]))

@@ -151,8 +151,10 @@ def test_hk_scalar_reference_euclidean():
     # b2 = b3 = (1,1,0,0); Euclidean dot = 2; (a2-a3) = -1
     assert abs(lzi.ekz_hk_scalar(b, 2) - (-2.0)) < 1e-14
     assert abs(lzi.ekz_hk_scalar(b, 3) - (+2.0)) < 1e-14
-    # the one-sided variant keeps only the k' > k term
-    assert abs(lzi.ekz_hk_scalar(b, 3, classical_sum="upper")) == 0.0
+    # the one-sided variant keeps only the k' > k terms: for k = 3 it drops
+    # the one term b3.b2 / (a3 - a2) of the symmetric sum
+    upper = lzi.ekz_hk_scalar(b, 3) - np.dot(b.bk[1], b.bk[0]) / (b.a[1] - b.a[0])
+    assert abs(upper) == 0.0
 
 
 def test_companion_operators_commute_in_parallel_case():
@@ -197,11 +199,46 @@ def test_zero_curvature_rejects_equal_labels():
 def test_upper_sum_variant_breaks_scalar_curvature():
     p = _params(gamma=(0.3, 0.4, 0.5, 0.2), a=(1.0, 2.5))
     b = lzi.b_vectors(p)
-    res = lzi.zero_curvature_residual(b, 2, 3, omega=-0.7, classical_sum="upper")
+    omega = -0.7
+    # the one-sided sum keeps only the k' > k terms: H_2 is unchanged, H_3
+    # loses b3.b2 / (a3 - a2) and with it d_2 H_3, while d_3 H_2 stays
+    h2 = lzi.ekz_hamiltonian_hk(b, 2, omega)
+    dropped = np.dot(b.bk[1], b.bk[0]) / (b.a[1] - b.a[0])
+    h3_upper = lzi.ekz_hamiltonian_hk(b, 3, omega) - dropped * np.eye(2)
+    d3_of_h2 = np.dot(b.bk[0], b.bk[1]) / (b.a[0] - b.a[1]) ** 2 * np.eye(2)
+    res = lzi.max_abs(0.0 - d3_of_h2 - lzi.commutator(h2, h3_upper))
     # the missing scalar term has magnitude b2.b3 / (a_2 - a_3)^2 = 2 b2 b3 / gap^2
     expected = 2.0 * b.betas[0] * b.betas[1] / (1.0 - 2.5) ** 2
     assert abs(res - expected) < 1e-15
     assert res > 1e-4
+    assert lzi.zero_curvature_residual(b, 2, 3, omega) < 1e-12
+
+
+@pytest.mark.parametrize("break_parallelism", [0.0, 0.1])
+def test_zero_curvature_residual_is_the_commutator_of_the_pair(break_parallelism):
+    # with both derivative terms written out, the residual is the same number:
+    # d_i H_j and d_j H_i are one array, so only [H_i, H_j] is left
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5):
+        p = lzi.ADOParams(gamma=rng.uniform(0.3, 1.0, n + 1), a=np.linspace(-1.5, 1.5, n - 1))
+        v = lzi.coupling_matrix(p).copy()
+        v[0, 1] += break_parallelism
+        v[1, 0] += break_parallelism
+        b = lzi.b_vectors(p, v)
+        omega = float(rng.uniform(2.5, 4.0))
+        ops = {0: lzi.ekz_hamiltonian_h1(b, omega)}
+        ops.update((k, lzi.ekz_hamiltonian_hk(b, k, omega)) for k in range(2, n + 1))
+        basis = lzi.pauli_u2_basis()
+        for i, j in itertools.combinations(ops, 2):
+            bj, aj = b.bk[j - 2], b.a[j - 2]
+            if i == 0:
+                d_i_of_j = sum(bj[mu] * basis[mu] for mu in range(4)) / (aj - omega) ** 2
+                d_j_of_i = sum(bj[mu] * basis[mu] for mu in range(4)) / (omega - aj) ** 2
+            else:
+                g = np.dot(b.bk[i - 2], bj) / (b.a[i - 2] - aj) ** 2
+                d_i_of_j = d_j_of_i = g * np.eye(2)
+            explicit = lzi.max_abs(d_i_of_j - d_j_of_i - lzi.commutator(ops[i], ops[j]))
+            assert lzi.zero_curvature_residual(b, i, j, omega) == explicit
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +351,11 @@ def test_spatial_contraction_fails_ode_system():
     am = sol.a.copy()
     am[0] -= h
     d_a = (sol(omega, ap) - sol(omega, am)) / (2 * h)
-    good = lzi.max_abs(d_a + 1j * ekz_hamiltonian_hk(b, 2, omega) @ phi)
-    bad = lzi.max_abs(
-        d_a + 1j * ekz_hamiltonian_hk(b, 2, omega, contraction="spatial") @ phi
-    )
+    hk = ekz_hamiltonian_hk(b, 2, omega)
+    # the spatial-only product drops b2^0 b3^0 / (a2 - a3) from the scalar part
+    hk_spatial = hk - b.bk[0, 0] * b.bk[1, 0] / (b.a[0] - b.a[1]) * np.eye(2)
+    good = lzi.max_abs(d_a + 1j * hk @ phi)
+    bad = lzi.max_abs(d_a + 1j * hk_spatial @ phi)
     assert good < 1e-6
     assert bad > 1e-4
 
@@ -401,6 +439,13 @@ def test_lz_probability_values():
     inv = 1.0 / np.sqrt(4.0 * np.pi)
     assert abs(lzi.lz_probability(inv, inv, 1.0) - np.exp(-1.0)) < 1e-15
     assert abs(lzi.lz_probability(0.3, 0.4, 0.5) - 0.6752319066557773) < 1e-15
+
+
+@pytest.mark.parametrize("field", ["tolerance", "initial_window"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_quadrature_spec_rejects_non_positive_or_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        lzi.QuadratureSpec(**{field: value})
 
 
 def test_params_validation():

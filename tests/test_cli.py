@@ -244,6 +244,21 @@ def test_evolve_closed_form_engine(tmp_path):
     assert max(totals) / min(totals) - 1.0 < 1e-2  # trivial branch: constant modulus
 
 
+@pytest.mark.parametrize("command", ["evolve", "transition-matrix"])
+def test_verify_runs_the_step_halving_check_in_every_propagating_command(tmp_path, capsys, command):
+    coarse = {"theta": 2.0, "base_step": 1.0, "verify": True, "rtol": 1e-14}
+    cfg = {"schema_version": 1, "model": "ado", "params": {"gamma": [0.3, 0.4, 0.5], "a": [0.0]},
+           "propagation": coarse}
+    if command == "evolve":
+        cfg["grid"] = {"start": -10.0, "stop": 10.0, "num": 5}
+    else:
+        cfg["T"] = 10.0
+    path = _write(tmp_path, "coarse.json", cfg)
+    assert _run([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "step-halving estimate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # transition-matrix / lz-probability / closed-form
 
@@ -548,6 +563,13 @@ _CONFIG_ERRORS = {
     "flow-model-ado": ("spectral-flow", ("model",), "ado", None),
     "tm-T-string": ("transition-matrix", ("T",), "5", None),
     "tm-T-integer-too-large-for-a-float": ("transition-matrix", ("T",), 10**400, None),
+    # json writes and reads NaN and Infinity, which are not JSON numbers
+    "tm-rtol-nan-with-verify": (
+        "transition-matrix", ("propagation",),
+        {"theta": 0.25, "rtol": float("nan"), "verify": True}, None,
+    ),
+    "tm-T-infinity": ("transition-matrix", ("T",), float("inf"), None),
+    "cf-quadrature-tolerance-nan": ("closed-form", ("quadrature", "tolerance"), float("nan"), _CF_TIME),
     # keys of the engine that does not run
     "evolve-oracle-closed-form-keys": (
         "evolve", ("quadrature",), {"tolerance": -1}, dict(_VALID["evolve"], branch=5)
@@ -577,6 +599,15 @@ def test_rejected_config_exits_three_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("literal", ["-Infinity", "1e400"])
+def test_non_finite_number_literal_exits_three(tmp_path, capsys, literal):
+    path = tmp_path / "bad.json"
+    text = json.dumps(_VALID["transition-matrix"]).replace('"T": 5.0', f'"T": {literal}')
+    path.write_text(text, encoding="utf-8")
+    assert _run(["transition-matrix", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"config error: config numbers must be finite, got {literal}\n"
 
 
 def _entries(obj, prefix=()):

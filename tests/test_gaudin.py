@@ -126,6 +126,21 @@ def test_flatness_three_sites_with_extension():
         assert lzi.kz_flatness_residual(cfg, system, la, lb) < 1e-12
 
 
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5, 0.5), (0.5, 1.0, 1.5)])
+def test_flatness_residual_is_the_scaled_commutator(spins):
+    # d_{w_a} R_b and d_{w_b} R_a are one array, so the residual is exactly
+    # the commutator defect divided by level_shift, not an independent check
+    system = lzi.SiteSystem(tuple(lzi.SpinRep(s) for s in spins))
+    rng = np.random.default_rng(len(spins))
+    for lam in (0.0, 0.5, 2.0):
+        w = tuple(np.sort(rng.uniform(-2.0, 2.0, len(spins))))
+        cfg = lzi.SpectralConfig(w=w, lam=lam, level_shift=3.0)
+        ops = _richardson_set(cfg, system)
+        for la, lb in itertools.combinations(range(len(spins)), 2):
+            scaled = lzi.max_abs(lzi.commutator(ops[la], ops[lb]) / cfg.level_shift)
+            assert lzi.kz_flatness_residual(cfg, system, la, lb) == scaled
+
+
 def test_flatness_rejects_same_site():
     system = lzi.SiteSystem.uniform(2)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0))

@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import lzi
 from lzi.errors import NumericalError
 from lzi import propagator
 from lzi.propagator import (
-    _as_sweep,
     _expm_i_batch,
     _mul,
     _operator_on_grid,
@@ -49,29 +49,28 @@ def _marching_grid(rate, spec):
     return np.asarray(ts)
 
 
-def _wobbly(t):
-    return np.array([[np.sin(3.0 * t) * t, 0.3], [0.3, -t]])
-
-
-def _dipping(t):
-    # |sin t| t^2 dips to zero in V shapes a few steps wide, which sampling
-    # the step density misses; the grid must then cut steps, at a cost in
-    # step count that only the budget bounds
-    return np.array([[np.sin(t) * t**2, 0.3], [0.3, np.cos(7.0 * t)]])
+def _dipping_rate(ts):
+    # the largest entry of [[t^2 sin t, 0.3], [0.3, cos 7t]]: |sin t| t^2 dips
+    # to zero in V shapes a few steps wide, which sampling the step density
+    # misses; the grid must then cut steps, at a cost in step count that only
+    # the budget bounds.  The affine cases below keep their budgets without
+    # that cutting pass; this one does not.
+    ts = np.asarray(ts, dtype=float)
+    return np.maximum(np.maximum(np.abs(np.sin(ts) * ts**2), 0.3), np.abs(np.cos(7.0 * ts)))
 
 
 DO3, BOW_TIE2 = _do3_sweep(), _bow_tie2_sweep()
 # frame, rate of its step sizing, window half-width, theta, allowed relative
 # step-count excess over marching; the diagonal spreads of DO n=3 and
-# bow-tie n=2 have several kinks
+# bow-tie n=2 have several kinks; the grid reads only a frame's rate, so
+# "callable-dips" is an object with nothing but that rate
 GRID_CASES = {
     "do-3": (lzi.interaction_picture(DO3), lambda t: _diag_spread(DO3, t), 30.0, 0.25, 0.01),
     "bow-tie-2": (
         lzi.interaction_picture(BOW_TIE2), lambda t: _diag_spread(BOW_TIE2, t), 30.0, 0.25, 0.01
     ),
     "do-3-lab": (DO3, lambda t: np.abs(DO3(t)).max(), 10.0, 0.1, 0.01),
-    "callable": (_wobbly, lambda t: np.abs(_wobbly(t)).max(), 10.0, 0.1, 0.01),
-    "callable-dips": (_dipping, lambda t: np.abs(_dipping(t)).max(), 7.3, 0.1, 1.0),
+    "callable-dips": (SimpleNamespace(resolution_rate=_dipping_rate), _dipping_rate, 7.3, 0.1, 1.0),
 }
 
 
@@ -256,11 +255,24 @@ def test_frame_conversion_for_composite_states():
     assert np.abs(roundtrip - psi_lab).max() < 1e-15
 
 
-def test_generic_callable_hamiltonian_supported():
-    mat = np.array([[0.0, 0.5], [0.5, 0.0]])
-    spec = lzi.PropagationSpec(t0=0.0, t1=1.0, rtol=1e-9)
-    u, _ = lzi.evolve_operator(lambda t: mat, spec)
-    assert lzi.max_abs(u - expm(1j * mat)) < 1e-10
+def test_plain_callable_is_rejected_naming_affine_hamiltonian():
+    sweep = _lz_sweep()
+    spec = lzi.PropagationSpec(t0=-1.0, t1=1.0)
+    calls = [
+        lambda h: lzi.evolve_operator(h, spec),
+        lambda h: lzi.propagate(h, [1.0, 0.0], spec),
+        lambda h: lzi.population_trajectory(h, [1.0, 0.0], spec, [-1.0, 1.0]),
+        lambda h: lzi.transition_matrix(h, 1.0),
+        lambda h: lzi.interaction_picture(h),
+        # a frame is not a lab-frame sweep either
+        lambda h: lzi.interaction_picture(lzi.interaction_picture(sweep)),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(TypeError, match="AffineHamiltonian") as info:
+            call(lambda t: sweep(t))
+        messages.add(str(info.value).split(", got")[0])
+    assert len(messages) == 1
 
 
 @pytest.mark.parametrize(
@@ -286,7 +298,7 @@ def test_fixed_step_convergence_orders(method, order):
 def test_vectorised_grid_keeps_left_end_budget_and_marching_count(case):
     frame, rate, half, theta, excess = GRID_CASES[case]
     spec = lzi.PropagationSpec(t0=-2.0 * half, t1=2.0 * half, theta=theta)
-    ts = _time_grid(_as_sweep(frame), spec, cuts=(-half, half))
+    ts = _time_grid(frame, spec, cuts=(-half, half))
     assert ts[0] == spec.t0 and ts[-1] == spec.t1 and {-half, half} <= set(ts)
     rates = np.array([rate(t) for t in ts[:-1]])
     assert np.all(np.diff(ts) <= np.minimum(spec.base_step, spec.theta / (1.0 + rates)))
@@ -369,17 +381,6 @@ def test_magnus4_equal_slope_populations_stay_at_cf4_accuracy():
     assert np.abs(populations(0.25, "magnus4-fixed") - fine).max() < 5e-9
 
 
-def test_interaction_picture_of_plain_callable_needs_diag_integral():
-    sweep = _lz_sweep()
-    with pytest.raises(ValueError):
-        lzi.interaction_picture(lambda t: sweep(t))
-    frame = lzi.interaction_picture(lambda t: sweep(t), diag_integral=sweep.diag_phase_integral)
-    spec = lzi.PropagationSpec(t0=-6.0, t1=6.0, verify=False)
-    u_callable, _ = lzi.evolve_operator(frame, spec)
-    u_affine, _ = lzi.evolve_operator(lzi.interaction_picture(sweep), spec)
-    assert lzi.max_abs(u_callable - u_affine) < 1e-12
-
-
 def test_step_budget_enforced():
     sweep = _lz_sweep()
     with pytest.raises(NumericalError):
@@ -394,6 +395,19 @@ def test_verification_failure_raises():
     )
     with pytest.raises(NumericalError):
         lzi.evolve_operator(sweep, spec)
+
+
+def test_population_trajectory_verify_raises_on_a_coarse_grid():
+    # the evolve command's propagation used to skip the step-halving check
+    frame = lzi.interaction_picture(lzi.ado_sweep(lzi.ADOParams(gamma=[0.3, 0.4, 0.5], a=[0.0])))
+    samples = np.linspace(-10.0, 10.0, 5)
+    spec = lzi.PropagationSpec(t0=-10.0, t1=10.0, rtol=1e-14, base_step=1.0, theta=2.0, verify=True)
+    psi0 = frame.to_interaction(np.array([1.0, 0.0, 0.0]), -10.0)
+    with pytest.raises(NumericalError, match="step-halving"):
+        lzi.population_trajectory(frame, psi0, spec, samples)
+    loose = lzi.population_trajectory(frame, psi0, replace(spec, rtol=1e-2), samples)
+    coarse = lzi.population_trajectory(frame, psi0, replace(spec, verify=False), samples)
+    assert 0.0 < np.abs(loose - coarse).max() <= 1e-2
 
 
 def test_population_trajectory_endpoints():
@@ -443,7 +457,7 @@ def test_spec_validation():
         lzi.PropagationSpec(t0=0.0, t1=1.0, method="euler")
 
 
-@pytest.mark.parametrize("field", ["base_step", "theta"])
+@pytest.mark.parametrize("field", ["base_step", "theta", "rtol"])
 @pytest.mark.parametrize("value", [0.0, -0.01, -1.0, np.nan, np.inf])
 def test_spec_rejects_non_positive_or_non_finite_step_controls(field, value):
     # a negative budget used to collapse every segment to a single step
