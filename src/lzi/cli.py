@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -475,7 +476,9 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lzi", description="Multi-level Landau-Zener dynamics toolkit"
     )

@@ -45,6 +45,7 @@ __all__ = [
     "do_sweep",
     "bow_tie_sweep",
     "track_spectral_flow",
+    "transition_table",
 ]
 
 #: roots closer than this (relative to the pole scale) to a decoupled pole
@@ -142,6 +143,34 @@ def do_sweep(entries: DOHamiltonianEntries) -> AffineHamiltonian:
     d = np.zeros_like(a)
     d[0, 0] = 1.0
     return AffineHamiltonian(a, d)
+
+
+def transition_table(entries: DOHamiltonianEntries) -> np.ndarray:
+    """Exact infinite-time transition probabilities of :func:`do_sweep`.
+
+    Entry [f, i] is the probability of ending in level f after starting in
+    level i (index 0 is the sloped level), as in `transition_matrix`.  The
+    sloped level crosses the flat ones in ascending a0, each crossing
+    independently: it keeps p_k = exp(-2 pi v0_k^2) and hands 1 - p_k over
+    (Demkov & Osherov, Sov. Phys. JETP 26, 916 (1968)).  Population moves only
+    along the sloped level, so flat k reaches the sloped level, or a flat
+    level crossed after k, through the crossings in between; every other
+    transition has probability 0.  A decoupled level (v0_k = 0) stays put.
+    """
+    require_distinct(entries.a0, "flat diagonal a0")
+    order = np.argsort(entries.a0)
+    exponent = -2.0 * np.pi * entries.v0[order] ** 2
+    p, q = np.exp(exponent), -np.expm1(exponent)
+    level = order + 1
+    table = np.zeros((entries.n + 1, entries.n + 1))
+    table[0, 0] = np.prod(p)
+    table[level, level] = p
+    for k in range(entries.n):
+        table[level[k], 0] = np.prod(p[:k]) * q[k]
+        table[0, level[k]] = q[k] * np.prod(p[k + 1 :])
+        for j in range(k + 1, entries.n):
+            table[level[j], level[k]] = q[k] * np.prod(p[k + 1 : j]) * q[j]
+    return table
 
 
 def bow_tie_entries(r, base: DOHamiltonianEntries, t: float) -> DOHamiltonianEntries:

@@ -17,12 +17,15 @@ end, rate being the diagonal spread in the interaction picture (in the lab
 frame, the largest entry), which resolves the oscillatory far tails of a
 linear sweep without a globally tiny step; the grid inverts the integrated
 step density in a few array passes.
+The interaction picture evaluates only the coupled pairs of H, at both Gauss
+nodes of a batch in one pass.
 Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held as
 (d, d, N) stacks: below _MATMUL_LEVELS = 5 levels the stacks are levels first
 and a stacked product is d^3 multiply-adds on length-N rows; from 5 levels up
-they are steps first and matmul multiplies them.  A pairwise reduction then
-multiplies a batch out in log depth.  This is what makes T ~ hundreds
-affordable.
+they are steps first and matmul multiplies them, as it does any stack of at
+most _MATMUL_SHORT d^3 matrices.  A pairwise reduction then multiplies a batch
+out in log depth, its short last levels by matmul.  This is what makes
+T ~ hundreds affordable.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ _GAUSS_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _CF4_WEIGHTS = (0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0)
 _BATCH_STEPS = 2048  # steps per batched block: rows stay in cache, per-call overhead stays small
 _MATMUL_LEVELS = 5  # from this many levels up, stacks are held steps first and multiplied by matmul
+# and so are stacks of at most this many d^3 matrices: rows cost ~1.4 us per d^3 operation
+# at any length, matmul ~0.3 us per matrix; measured crossovers (2-core Xeon, numpy 2.4):
+# 32-64 matrices at d=2, about 128 at d=3, 256-512 at d=4
+_MATMUL_SHORT = 4
 _CHUNK = 2**17  # time points per budget pass; bounds memory
 _DENSITY_RTOL = 1e-3  # knot spacing: relative midpoint error of the linear density
 _SLACK = 1e-8  # relative margin of each step below its budget, above rounding
@@ -162,18 +169,28 @@ class InteractionPicture:
     transformed generator is exp(-i Lambda) H_offdiag exp(i Lambda): its
     off-diagonal magnitudes equal those of H and diabatic populations are
     unchanged, while the amplitudes acquire well-defined limits as t -> +-inf
-    for a linear sweep.
+    for a linear sweep.  Entry (i, j) is (A_ij + t D_ij) exp(i (Lambda_j -
+    Lambda_i)); only the pairs i < j with A_ij or D_ij non-zero, tabled once,
+    are evaluated, and mirrored as conjugates.
     """
 
     def __init__(self, base: AffineHamiltonian):
         self.base = _checked(base, AffineHamiltonian)
+        rows, cols = self._pairs = np.nonzero(np.triu((base.a != 0) | (base.d != 0), 1))
+        self._coupling = base.a[rows, cols, None], base.d[rows, cols, None]
+        self._rate = (base._diag_a[cols] - base._diag_a[rows])[:, None]
+        self._half_slope = 0.5 * (base._diag_d[cols] - base._diag_d[rows])[:, None]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * self.base.diag_phase_integral(ts).T)
-        h = self.base.eval_many(ts) * phase[None, :, :]
-        h *= np.conj(phase)[:, None, :]
-        idx = np.arange(h.shape[0])
-        h[idx, idx] = 0.0
+        ts = np.asarray(ts, dtype=float)
+        angle = (self._rate + self._half_slope * ts) * ts
+        pairs = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=pairs.real)
+        np.sin(angle, out=pairs.imag)
+        pairs *= self._coupling[0] + self._coupling[1] * ts
+        h = np.zeros(self.base.a.shape + ts.shape, dtype=complex)
+        h[self._pairs] = pairs
+        h[self._pairs[::-1]] = np.conj(pairs)
         return h
 
     def __call__(self, t: float) -> np.ndarray:
@@ -228,10 +245,11 @@ def _mul(a: np.ndarray, b: np.ndarray, hermitian: bool = False) -> np.ndarray:
     with `hermitian` (the caller knows every product is Hermitian) only the
     upper triangle is summed, the lower one is its conjugate and the diagonal
     is real.  From _MATMUL_LEVELS up the d^3 row operations cost more than
-    the overhead, and matmul multiplies the steps-first view.
+    the overhead, as they do on stacks of at most _MATMUL_SHORT d^3 matrices
+    (the last levels of a pairwise product): matmul multiplies those.
     """
     d = a.shape[0]
-    if d >= _MATMUL_LEVELS:
+    if d >= _MATMUL_LEVELS or a.shape[-1] <= _MATMUL_SHORT * d**3:
         return np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
     out = np.empty(a.shape[:2] + b.shape[2:], dtype=complex)
     for i in range(d):
@@ -364,6 +382,13 @@ def _adjoint(p: np.ndarray) -> np.ndarray:
     return np.conj(p.transpose(1, 0, 2))
 
 
+def _gauss_stacks(h, ta: np.ndarray, hs: np.ndarray) -> tuple:
+    """H at both Gauss nodes of every step: two views of one `_stack`."""
+    c1, c2 = _GAUSS_NODES
+    both = _stack(h, np.concatenate([ta + c1 * hs, ta + c2 * hs]))
+    return both[..., : ta.size], both[..., ta.size :]
+
+
 def _magnus4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """Fourth-order Magnus steps exp(i X) on the two Gauss nodes (Blanes, Casas &
     Ros, BIT 40, 434 (2000)), with C = [H2, H1]:
@@ -379,9 +404,7 @@ def _magnus4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     p = H2 H1, and [C, H2 - H1] = q + q^dagger with q = C (H2 - H1).
     """
     hs = tb - ta
-    c1, c2 = _GAUSS_NODES
-    h1 = _stack(h, ta + c1 * hs)
-    h2 = _stack(h, ta + c2 * hs)
+    h1, h2 = _gauss_stacks(h, ta, hs)
     c = _mul(h2, h1)
     c -= _adjoint(c)
     q = _mul(c, h2 - h1)
@@ -394,10 +417,8 @@ def _magnus4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
 
 def _cf4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     hs = tb - ta
-    c1, c2 = _GAUSS_NODES
     g1, g2 = _CF4_WEIGHTS
-    h1 = _stack(h, ta + c1 * hs)
-    h2 = _stack(h, ta + c2 * hs)
+    h1, h2 = _gauss_stacks(h, ta, hs)
     b1 = hs * (g1 * h1 + g2 * h2)
     b2 = hs * (g2 * h1 + g1 * h2)
     return _mul(_expm_i_batch(b2), _expm_i_batch(b1))

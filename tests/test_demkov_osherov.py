@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lzi
+from lzi import demkov_osherov as do
 from lzi.errors import DegenerateSpectralError, NoRealShiftError
 
 
@@ -263,6 +264,97 @@ def test_bow_tie_sweep_matches_entries():
     for t in (-2.0, 0.0, 1.7):
         expected = lzi.build_do_hamiltonian(lzi.bow_tie_entries(r, base, t), t)
         assert lzi.max_abs(sweep(t).real - expected) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# exact transition table
+
+
+def _table_models(count=20):
+    """Seeded DO models, n = 1..5: gamma_0 = 1, epsilon_0 = 0, |epsilon_k| in
+    [1, 3] at least 0.5 apart (flat levels on both sides of zero), |gamma_k| in
+    [0.3, 0.6], and every fourth model with one decoupled level."""
+    rng = np.random.default_rng(2024)
+    models = []
+    for m in range(count):
+        n = 1 + m % 5
+        eps = [0.0]
+        while len(eps) < n + 1:
+            cand = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0)
+            if all(abs(cand - e) >= 0.5 for e in eps):
+                eps.append(cand)
+        gamma = np.concatenate([[1.0], rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 0.6, n)])
+        if m % 4 == 3:
+            gamma[rng.integers(1, n + 1)] = 0.0
+        models.append(lzi.DOParams(gamma=gamma, epsilon=eps))
+    return models
+
+
+def _first_order_horizon_bound(a, slopes, reach):
+    """Bound on |P_fi(reach) - P_fi(inf)|, first order in the couplings.
+
+    In the interaction picture level k gains from partner j beyond time
+    `reach` the amplitude int A_kj exp(i phi) c_j dt, where the pair's phase
+    turns at |phi'| >= |D_kk - D_jj| reach - |A_kk - A_jj| and c_j turns at
+    no more than s, the largest off-diagonal row sum of |A|; so, as in one
+    integration by parts, the tail amplitude is at most
+    eps_kj = |A_kj| / (|D_kk - D_jj| reach - |A_kk - A_jj| - s).
+    U(inf) = W+ U(reach) W- with tails W+-; to first order (W+ - I)_fj is
+    bounded by eps_fj and (W- - I)_ji by eps_ji, and the rows and columns of
+    U have unit norm, so |dU_fi| <= e_f + e_i with e_k = sum_j eps_kj, and
+    |dP_fi| <= 2 (e_f + e_i) + (e_f + e_i)^2.
+    """
+    off = np.abs(a - np.diag(np.diag(a)))
+    s = off.sum(axis=1).max()
+    diag = np.diag(a)
+    rate = np.abs(slopes[:, None] - slopes[None, :]) * reach
+    rate -= np.abs(diag[:, None] - diag[None, :]) + s
+    coupled = off > 0.0
+    assert np.all(rate[coupled] > 0.0), "reach inside a crossing region"
+    e = np.where(coupled, off / np.where(coupled, rate, 1.0), 0.0).sum(axis=1)
+    eps = e[:, None] + e[None, :]
+    return 2.0 * eps + eps**2
+
+
+def test_transition_table_columns_and_rows_sum_to_one():
+    for params in _table_models():
+        table = do.transition_table(lzi.entries_from_gamma(params))
+        assert np.all(table >= 0.0)
+        assert np.abs(table.sum(axis=0) - 1.0).max() < 1e-14
+        assert np.abs(table.sum(axis=1) - 1.0).max() < 1e-14
+
+
+def test_transition_table_two_levels_is_landau_zener():
+    entries = lzi.DOHamiltonianEntries(a00=0.3, a0=[-0.7], v0=[0.4])
+    p = np.exp(-2.0 * np.pi * 0.16)
+    expected = [[p, 1.0 - p], [1.0 - p, p]]
+    assert np.abs(do.transition_table(entries) - expected).max() < 1e-15
+
+
+def test_transition_table_rejects_coincident_flat_levels():
+    with pytest.raises(ValueError):
+        do.transition_table(lzi.DOHamiltonianEntries(a00=0.0, a0=[0.5, 0.5], v0=[0.3, 0.4]))
+
+
+def test_transition_table_matches_the_oracle_on_every_entry():
+    # every (n+1)^2 entry of the propagated table at 2T = 100 against the
+    # exact one, within the first-order horizon bound of that entry plus 1e-6
+    # for the integrator (its tables sit within 4e-8 of DOP853 at theta 0.25)
+    horizon = 50.0
+    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+    models = _table_models()
+    negative = decoupled = 0
+    for params in models:
+        entries = lzi.entries_from_gamma(params)
+        negative += bool(np.any(entries.a0 < 0.0))
+        decoupled += bool(params.decoupled_levels)
+        sweep = lzi.do_sweep(entries)
+        oracle = lzi.transition_matrix(sweep, horizon, spec).matrix_at_2T
+        bound = _first_order_horizon_bound(sweep.a.real, np.diag(sweep.d.real), 2.0 * horizon)
+        bound += 1e-6
+        assert np.all(np.abs(oracle - do.transition_table(entries)) <= bound), params
+    assert {p.n for p in models} == {1, 2, 3, 4, 5}
+    assert negative >= 5 and decoupled >= 5
 
 
 # ---------------------------------------------------------------------------

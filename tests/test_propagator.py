@@ -107,14 +107,19 @@ def test_taylor_exponential_of_empty_stack_and_zero_matrix(count):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 64])
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 216, 217, 218, 511, 512, 513, 2047, 2048])
 def test_pairwise_product_matches_sequential_left_multiplication(length):
+    # at three levels a product level takes matmul from 4 * 3^3 = 108 products
+    # (217 factors) down; six levels are held steps first, as `_stack` holds them
     rng = np.random.default_rng(length)
-    mats = _expm_i_batch(_hermitian_stack(rng, 3, rng.uniform(0.1, 3.0, length)))
-    sequential = np.eye(3, dtype=complex)
-    for k in range(length):
-        sequential = mats[..., k] @ sequential
-    assert np.abs(_pairwise_product(mats) - sequential).max() < 1e-13
+    for dim in (3, 6):
+        mats = _expm_i_batch(_hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, length)))
+        if dim >= propagator._MATMUL_LEVELS:
+            mats = np.ascontiguousarray(mats.transpose(2, 0, 1)).transpose(1, 2, 0)
+        sequential = np.eye(dim, dtype=complex)
+        for k in range(length):
+            sequential = mats[..., k] @ sequential
+        assert np.abs(_pairwise_product(mats) - sequential).max() < 1e-13
 
 
 @pytest.mark.parametrize("method", ["magnus4-fixed", "cf4-fixed", "rk4-fixed", "magnus2-fixed"])
@@ -134,8 +139,11 @@ def _einsum_product(a, b):
 @pytest.mark.parametrize("matmul_levels", [propagator._MATMUL_LEVELS, 9])
 def test_stacked_product_matches_per_step_product(dim, matmul_levels, monkeypatch):
     # with the threshold at 9 every size takes the d^3 row loop; at its
-    # default, 5 and 8 levels take matmul on the steps-first view
+    # default, 5 and 8 levels take matmul on the steps-first view.  The
+    # 33-step stack is short enough for matmul from three levels up, so the
+    # short-stack rule is switched off here.
     monkeypatch.setattr(propagator, "_MATMUL_LEVELS", matmul_levels)
+    monkeypatch.setattr(propagator, "_MATMUL_SHORT", 0)
     rng = np.random.default_rng(dim)
     x = _hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, 33))
     y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
@@ -226,6 +234,31 @@ def test_interaction_picture_preserves_offdiagonal_magnitude():
     expected_phase = np.exp(-1j * t**2 / 2.0)
     observed = ip(t)[0, 1] / 0.4
     assert abs(observed - expected_phase) < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_pair_table_evaluation_matches_the_dense_frame(dim):
+    # the frame fills only coupled pairs; the reference rotates the whole
+    # off-diagonal part.  Either side rounds an angle Lambda to about
+    # 1e-16 |Lambda| radians, so the bound is 1e-13 relative per radian.
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = z + z.conj().T
+    d = np.diag(rng.choice([-1.0, 0.0, 0.5, 2.0], dim)).astype(complex)  # degenerate slopes
+    if dim > 2:
+        a[0, -1] = a[-1, 0] = 0.0  # an uncoupled pair
+        a[1, -1] = a[-1, 1] = 0.0  # coupled through D alone
+        d[1, -1], d[-1, 1] = 0.3 - 0.2j, 0.3 + 0.2j
+    ts = np.concatenate([rng.uniform(-400.0, 400.0, 40), [-400.0, 0.0, 400.0]])
+    got = lzi.interaction_picture(lzi.AffineHamiltonian(a, d)).eval_many(ts)
+    lam = np.real(np.diag(a))[:, None] * ts + 0.5 * np.real(np.diag(d))[:, None] * ts**2
+    h = a[:, :, None] + d[:, :, None] * ts
+    h[np.arange(dim), np.arange(dim)] = 0.0
+    dense = np.exp(-1j * lam)[:, None, :] * h * np.exp(1j * lam)[None, :, :]
+    radians = 1.0 + np.abs(lam)[:, None, :] + np.abs(lam)[None, :, :]
+    assert np.all(np.abs(got - dense) <= 1e-13 * np.abs(h) * radians)
+    if dim > 2:
+        assert not np.any(got[0, -1]) and not np.any(got[-1, 0])
 
 
 def test_gauge_invariance_of_probabilities():
