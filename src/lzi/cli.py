@@ -478,7 +478,6 @@ COMMANDS = {
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lzi", description="Multi-level Landau-Zener dynamics toolkit"
     )

@@ -17,15 +17,13 @@ end, rate being the diagonal spread in the interaction picture (in the lab
 frame, the largest entry), which resolves the oscillatory far tails of a
 linear sweep without a globally tiny step; the grid inverts the integrated
 step density in a few array passes.
-The interaction picture evaluates only the coupled pairs of H, at both Gauss
-nodes of a batch in one pass.
+The interaction picture evaluates only the coupled pairs of H.
 Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held as
 (d, d, N) stacks: below _MATMUL_LEVELS = 5 levels the stacks are levels first
 and a stacked product is d^3 multiply-adds on length-N rows; from 5 levels up
-they are steps first and matmul multiplies them, as it does any stack of at
-most _MATMUL_SHORT d^3 matrices.  A pairwise reduction then multiplies a batch
-out in log depth, its short last levels by matmul.  This is what makes
-T ~ hundreds affordable.
+they are steps first and matmul multiplies them.  A pairwise reduction then
+multiplies a batch out in log depth, its short last levels by matmul.  This
+is what makes T ~ hundreds affordable.
 """
 
 from __future__ import annotations
@@ -56,9 +54,8 @@ _GAUSS_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _CF4_WEIGHTS = (0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0)
 _BATCH_STEPS = 2048  # steps per batched block: rows stay in cache, per-call overhead stays small
 _MATMUL_LEVELS = 5  # from this many levels up, stacks are held steps first and multiplied by matmul
-# and so are stacks of at most this many d^3 matrices: rows cost ~1.4 us per d^3 operation
-# at any length, matmul ~0.3 us per matrix; measured crossovers (2-core Xeon, numpy 2.4):
-# 32-64 matrices at d=2, about 128 at d=3, 256-512 at d=4
+# pairwise-product levels of at most this many d^3 products take matmul (~0.3 us per matrix, rows
+# ~1.4 us per d^3 op); crossovers, 2-core Xeon, numpy 2.4: 32-64 at d=2, ~128 at d=3, 256-512 at d=4
 _MATMUL_SHORT = 4
 _CHUNK = 2**17  # time points per budget pass; bounds memory
 _DENSITY_RTOL = 1e-3  # knot spacing: relative midpoint error of the linear density
@@ -169,9 +166,8 @@ class InteractionPicture:
     transformed generator is exp(-i Lambda) H_offdiag exp(i Lambda): its
     off-diagonal magnitudes equal those of H and diabatic populations are
     unchanged, while the amplitudes acquire well-defined limits as t -> +-inf
-    for a linear sweep.  Entry (i, j) is (A_ij + t D_ij) exp(i (Lambda_j -
-    Lambda_i)); only the pairs i < j with A_ij or D_ij non-zero, tabled once,
-    are evaluated, and mirrored as conjugates.
+    for a linear sweep.  Only the pairs i < j with A_ij or D_ij non-zero,
+    tabled once, are evaluated, and mirrored as conjugates.
     """
 
     def __init__(self, base: AffineHamiltonian):
@@ -182,13 +178,12 @@ class InteractionPicture:
         self._half_slope = 0.5 * (base._diag_d[cols] - base._diag_d[rows])[:, None]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
         angle = (self._rate + self._half_slope * ts) * ts
         pairs = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=pairs.real)
         np.sin(angle, out=pairs.imag)
         pairs *= self._coupling[0] + self._coupling[1] * ts
-        h = np.zeros(self.base.a.shape + ts.shape, dtype=complex)
+        h = np.zeros(self.base.a.shape + angle.shape[1:], dtype=complex)
         h[self._pairs] = pairs
         h[self._pairs[::-1]] = np.conj(pairs)
         return h
@@ -237,6 +232,10 @@ def _stack(h, ts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 def _mul(a: np.ndarray, b: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """Stepwise product a @ b of two (d, d, N) stacks.
 
@@ -245,12 +244,11 @@ def _mul(a: np.ndarray, b: np.ndarray, hermitian: bool = False) -> np.ndarray:
     with `hermitian` (the caller knows every product is Hermitian) only the
     upper triangle is summed, the lower one is its conjugate and the diagonal
     is real.  From _MATMUL_LEVELS up the d^3 row operations cost more than
-    the overhead, as they do on stacks of at most _MATMUL_SHORT d^3 matrices
-    (the last levels of a pairwise product): matmul multiplies those.
+    the overhead, and matmul multiplies the steps-first view.
     """
     d = a.shape[0]
-    if d >= _MATMUL_LEVELS or a.shape[-1] <= _MATMUL_SHORT * d**3:
-        return np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    if d >= _MATMUL_LEVELS:
+        return _matmul(a, b)
     out = np.empty(a.shape[:2] + b.shape[2:], dtype=complex)
     for i in range(d):
         for j in range(i if hermitian else 0, d):
@@ -374,7 +372,8 @@ def _pairwise_product(mats: np.ndarray) -> np.ndarray:
         n = mats.shape[-1]
         if n % 2:
             left = left @ mats[..., n - 1]
-        mats = _mul(mats[..., 1::2], mats[..., 0 : n - 1 : 2])
+        product = _matmul if n // 2 <= _MATMUL_SHORT * mats.shape[0] ** 3 else _mul
+        mats = product(mats[..., 1::2], mats[..., 0 : n - 1 : 2])
     return left @ mats[..., 0]
 
 
@@ -382,11 +381,9 @@ def _adjoint(p: np.ndarray) -> np.ndarray:
     return np.conj(p.transpose(1, 0, 2))
 
 
-def _gauss_stacks(h, ta: np.ndarray, hs: np.ndarray) -> tuple:
+def _gauss_stacks(h, ta: np.ndarray, hs: np.ndarray) -> list:
     """H at both Gauss nodes of every step: two views of one `_stack`."""
-    c1, c2 = _GAUSS_NODES
-    both = _stack(h, np.concatenate([ta + c1 * hs, ta + c2 * hs]))
-    return both[..., : ta.size], both[..., ta.size :]
+    return np.split(_stack(h, np.concatenate([ta + c * hs for c in _GAUSS_NODES])), 2, axis=-1)
 
 
 def _magnus4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:

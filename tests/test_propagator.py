@@ -124,11 +124,17 @@ def test_pairwise_product_matches_sequential_left_multiplication(length):
 
 @pytest.mark.parametrize("method", ["magnus4-fixed", "cf4-fixed", "rk4-fixed", "magnus2-fixed"])
 def test_operator_on_grid_is_the_same_across_chunk_boundaries(method, monkeypatch):
+    # with _MATMUL_SHORT at 0 every product level takes the row loop; at its
+    # default, every level of these short products takes matmul
     frame = lzi.interaction_picture(_do3_sweep())
     ts = np.linspace(-3.0, 3.0, 61)
-    whole = _operator_on_grid(frame, ts, method)
-    monkeypatch.setattr(propagator, "_BATCH_STEPS", 7)  # 7 steps per block
-    assert np.abs(_operator_on_grid(frame, ts, method) - whole).max() < 1e-14
+    batch = propagator._BATCH_STEPS
+    for matmul_short in (0, propagator._MATMUL_SHORT):
+        monkeypatch.setattr(propagator, "_MATMUL_SHORT", matmul_short)
+        monkeypatch.setattr(propagator, "_BATCH_STEPS", batch)
+        whole = _operator_on_grid(frame, ts, method)
+        monkeypatch.setattr(propagator, "_BATCH_STEPS", 7)  # 7 steps per block
+        assert np.abs(_operator_on_grid(frame, ts, method) - whole).max() < 1e-14
 
 
 def _einsum_product(a, b):
@@ -139,11 +145,8 @@ def _einsum_product(a, b):
 @pytest.mark.parametrize("matmul_levels", [propagator._MATMUL_LEVELS, 9])
 def test_stacked_product_matches_per_step_product(dim, matmul_levels, monkeypatch):
     # with the threshold at 9 every size takes the d^3 row loop; at its
-    # default, 5 and 8 levels take matmul on the steps-first view.  The
-    # 33-step stack is short enough for matmul from three levels up, so the
-    # short-stack rule is switched off here.
+    # default, 5 and 8 levels take matmul on the steps-first view
     monkeypatch.setattr(propagator, "_MATMUL_LEVELS", matmul_levels)
-    monkeypatch.setattr(propagator, "_MATMUL_SHORT", 0)
     rng = np.random.default_rng(dim)
     x = _hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, 33))
     y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
@@ -167,6 +170,7 @@ def test_eight_level_operator_is_the_same_on_either_layout(monkeypatch):
     ts = np.linspace(-3.0, 3.0, 61)
     steps_first = _operator_on_grid(frame, ts, "magnus4-fixed")
     monkeypatch.setattr(propagator, "_MATMUL_LEVELS", 9)
+    monkeypatch.setattr(propagator, "_MATMUL_SHORT", 0)  # the row loop on every product
     levels_first = _operator_on_grid(frame, ts, "magnus4-fixed")
     assert np.abs(steps_first - levels_first).max() < 1e-13
 
