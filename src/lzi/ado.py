@@ -188,10 +188,9 @@ def b_vectors(p: ADOParams, v: np.ndarray | None = None) -> BVectorSet:
     if not np.any(nonzero):
         raise DegenerateSpectralError("all spatial parts vanish; no direction defined")
     unit_n = spatial[np.argmax(norms)] / norms.max()
-    defect = 0.0
     units = spatial[nonzero] / norms[nonzero, None]
-    for i, j in itertools.combinations(range(units.shape[0]), 2):
-        defect = max(defect, float(np.linalg.norm(np.cross(units[i], units[j]))))
+    i, j = np.triu_indices(units.shape[0], 1)
+    defect = float(np.linalg.norm(np.cross(units[i], units[j]), axis=1).max(initial=0.0))
     return BVectorSet(
         b1=b1,
         bk=bk,

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,61 @@ def test_b_vector_override_reports_defect():
     v[1, 0] += 0.3
     b = lzi.b_vectors(p, v)
     assert b.parallelism_defect > 1e-2
+
+
+def _norm3(x):
+    return math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+
+
+def _pairwise_cross_defect(b):
+    """The worst |u_i x u_j| over the pairs of unit spatial parts, one np.cross per pair
+    (the norm summed left to right, as numpy's row norm sums a length-3 row)."""
+    spatial = [b.b1[1:]] + [row[1:] for row in b.bk]
+    units = [s / _norm3(s) for s in spatial if _norm3(s) > 0.0]
+    defect = 0.0
+    for u, w in itertools.combinations(units, 2):
+        defect = max(defect, _norm3(np.cross(u, w)))
+    return defect
+
+
+@pytest.mark.parametrize("table", ["rank-one", "break-parallelism", "random-rows"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_parallelism_defect_array_pass_matches_pairwise_cross_loop(n, table):
+    # n spatial vectors: b1 and one per flat level
+    rng = np.random.default_rng(100 * n + len(table))
+    for _ in range(5):
+        p = _params(gamma=rng.uniform(0.3, 1.0, n + 1), a=np.arange(n - 1) * 0.7)
+        v = lzi.coupling_matrix(p)
+        if table == "break-parallelism":
+            v[0, 1] = v[1, 0] = v[0, 1] + 0.1
+        elif table == "random-rows":
+            noise = np.zeros_like(v)
+            noise[:2] = rng.normal(0.0, 0.2, (2, n + 1))
+            v = v + noise + noise.T
+        b = lzi.b_vectors(p, v)
+        assert b.parallelism_defect == _pairwise_cross_defect(b)
+        if table != "rank-one":
+            assert b.parallelism_defect > 1e-3
+
+
+def test_parallelism_defect_of_a_single_nonzero_vector_is_zero():
+    # gamma_2 = 0 leaves b1 the only spatial part with a direction
+    b = lzi.b_vectors(_params(gamma=(0.3, 0.4, 0.0), a=(0.0,)))
+    assert not b.bk[0].any()
+    assert b.parallelism_defect == 0.0
+
+
+def test_parallelism_defect_skips_a_zero_spatial_part():
+    p = _params(gamma=(0.3, 0.4, 0.5, 0.0, 0.2), a=(-1.0, 0.0, 1.0))
+    v = lzi.coupling_matrix(p)
+    v[0, 1] = v[1, 0] = v[0, 1] + 0.1
+    b = lzi.b_vectors(p, v)
+    assert not b.bk[1, 1:].any()
+    assert b.parallelism_defect == _pairwise_cross_defect(b) > 1e-3
+    # with no spatial part at all there is no direction to compare against
+    v = np.zeros((5, 5))
+    with pytest.raises(DegenerateSpectralError):
+        lzi.b_vectors(p, v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
+import collections
 import contextlib
 import copy
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lzi import cli
+import lzi
+from lzi import ado, cli, gaudin, spin
 from lzi.cli import main
+from lzi.errors import NumericalError
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +157,131 @@ def test_verify_integrals_readme_config_matches_golden_file(tmp_path, break_para
     out = tmp_path / "report.json"
     assert _run(["verify-integrals", "--config", cfg, "--seed", "0", "--out", str(out)]) == expected
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.fixture
+def op_counts(monkeypatch):
+    """Calls of the operator builders and of spin.commutator, through every lzi
+    module that binds them."""
+    counts = collections.Counter()
+    for name, home in (("richardson_integral", gaudin), ("ekz_hamiltonian_hk", ado),
+                       ("commutator", spin)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (spin, gaudin, ado, cli):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_verify_integrals_builds_each_operator_and_takes_each_commutator_once(tmp_path, op_counts):
+    config = {
+        "schema_version": 1,
+        "gaudin": {"sites": 4, "draws": 2, "lambda_values": [0.0, 1.5]},
+        "ado": {"n_values": [2, 3, 4], "draws": 2},
+    }
+    cfg = _write(tmp_path, "vi.json", config)
+    assert _run(["verify-integrals", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
+    gaudin_samples, sites = 2 * 2, 4
+    assert op_counts["richardson_integral"] == gaudin_samples * sites
+    # an ado sample at level count n + 1 has n - 1 companion operators H_k besides H_1
+    assert op_counts["ekz_hamiltonian_hk"] == 2 * sum(n - 1 for n in (2, 3, 4))
+    assert op_counts["commutator"] == gaudin_samples * math.comb(sites, 2) + 2 * sum(
+        math.comb(n, 2) for n in (2, 3, 4)
+    )
+
+
+def test_verify_ekz_builds_each_operator_and_takes_each_commutator_once(tmp_path, monkeypatch, op_counts):
+    per_sample = []
+    sample = cli._ekz_sample
+
+    def recorded(b, n, omega):
+        before = op_counts.copy()
+        out = sample(b, n, omega)
+        per_sample.append((n, op_counts["ekz_hamiltonian_hk"] - before["ekz_hamiltonian_hk"],
+                           op_counts["commutator"] - before["commutator"]))
+        return out
+
+    monkeypatch.setattr(cli, "_ekz_sample", recorded)
+    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2, 0.6], "a": [-1.0, 1.0, 2.5]},
+              "draws": 8}
+    cfg = _write(tmp_path, "ekz.json", config)
+    assert _run(["verify-ekz", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
+    assert per_sample and all(counts == (4, 3, 6) for counts in per_sample)
+
+
+def _verify_integrals_definitions(config: dict, seed: int) -> dict:
+    """Each suite's largest commutator defect and curvature residual, recomputed
+    with the library's definitions on the points the CLI draws (same rng order)."""
+    rng = np.random.default_rng(seed)
+    g_block, a_block = config["gaudin"], config["ado"]
+    system = lzi.SiteSystem.uniform(g_block["sites"], g_block["spin"])
+    comm, curv = [], []
+    for _ in range(g_block["draws"]):
+        w = np.sort(rng.uniform(-2.0, 2.0, g_block["sites"]))
+        while np.min(np.diff(w)) < 0.1:
+            w = np.sort(rng.uniform(-2.0, 2.0, g_block["sites"]))
+        for lam in g_block["lambda_values"]:
+            spec = lzi.SpectralConfig(w=tuple(w), lam=lam, level_shift=g_block["level_shift"])
+            ops = [lzi.richardson_integral(l, spec, system) for l in range(g_block["sites"])]
+            comm.append(lzi.verify_commuting(ops).max_defect)
+            curv += [lzi.kz_flatness_residual(spec, system, la, lb)
+                     for la, lb in itertools.combinations(range(g_block["sites"]), 2)]
+    out = {"gaudin": (max(comm), max(curv))}
+    comm, curv = [], []
+    for n in a_block["n_values"]:
+        for _ in range(a_block["draws"]):
+            g = rng.uniform(0.3, 1.0, n + 1)
+            a = np.sort(rng.uniform(-2.0, 2.0, n - 1))
+            while a.size >= 2 and np.min(np.diff(a)) < 0.2:
+                a = np.sort(rng.uniform(-2.0, 2.0, n - 1))
+            p = lzi.ADOParams(gamma=g, a=a)
+            b = lzi.b_vectors(p)
+            omega = float(rng.uniform(2.5, 4.0))
+            ops = [lzi.ekz_hamiltonian_h1(b, omega)] + [
+                lzi.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
+            ]
+            comm.append(lzi.verify_commuting(ops).max_defect)
+            curv += [lzi.zero_curvature_residual(b, i, j, omega)
+                     for i, j in itertools.combinations([0] + list(range(2, n + 1)), 2)]
+    out["ado"] = (max(comm), max(curv))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_integrals_reports_the_library_definitions(tmp_path, seed):
+    # the CLI reads both curvature residuals from the commutators it takes once;
+    # they must equal the library's kz_flatness_residual and zero_curvature_residual
+    config = next(example for heading, example in _readme_examples() if heading == "verify-integrals")
+    cfg = _write(tmp_path, "vi.json", config)
+    out = tmp_path / "report.json"
+    assert _run(["verify-integrals", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+    sections = json.loads(out.read_text())["sections"]
+    for suite, (comm, curv) in _verify_integrals_definitions(config, seed).items():
+        assert sections[suite]["max_commutator_defect"] == comm
+        assert sections[suite]["max_curvature_residual"] == curv
+
+
+def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
+    # gamma_0^2 overflows, so every defect is NaN, and max(0.0, nan) would report 0.0
+    config = {"schema_version": 1, "params": {"gamma": [1e160, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}}
+    cfg = _write(tmp_path, "ekz.json", config)
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        assert _run(["verify-ekz", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical error:" in err and "is nan" in err
+    assert not out.exists()
+
+
+def test_verdict_keeps_a_nan_behind_a_larger_value():
+    samples = [{cli.COMM: [1e-14]}, {cli.COMM: [1e-3, float("nan")]}]
+    with pytest.raises(NumericalError, match="max_commutator_defect is nan at sample 2"):
+        cli._verdict(iter(samples), {cli.COMM: 1e-12}, None, "suite")
 
 
 def test_verify_ekz_passes(tmp_path):
