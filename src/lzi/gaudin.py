@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import require_distinct
-from .errors import SameSiteError
+from .errors import NumericalError, SameSiteError
 from .spin import SiteSystem, commutator, max_abs, site_operators
 
 __all__ = [
@@ -145,12 +145,15 @@ class CommutativityReport:
 
 
 def verify_commuting(ops, tol: float = 1e-12) -> CommutativityReport:
-    """Max pairwise commutator norm of `ops`, compared against `tol`."""
+    """Max pairwise commutator norm of `ops`, compared against `tol`; a defect
+    that is not finite raises NumericalError naming its pair."""
     ops = [np.asarray(op) for op in ops]
     worst = 0.0
     worst_pair = (0, 0)
     for i, j in itertools.combinations(range(len(ops)), 2):
         defect = max_abs(commutator(ops[i], ops[j]))
+        if not np.isfinite(defect):
+            raise NumericalError(f"commutator defect of pair ({i}, {j}) is {defect}")
         if defect > worst:
             worst, worst_pair = defect, (i, j)
     return CommutativityReport(

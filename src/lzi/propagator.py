@@ -18,6 +18,12 @@ frame, the largest entry), which resolves the oscillatory far tails of a
 linear sweep without a globally tiny step; the grid inverts the integrated
 step density in a few array passes.
 The interaction picture evaluates only the coupled pairs of H.
+Every propagation first rotates each group of equal-slope levels that A
+couples to the constant eigenbasis of its A block (for ado, the dark and
+bright states of the sloped pair), then propagates each connected block of
+the rotated couplings on its own grid, a lone level as an exact phase, and
+maps the result back to the caller's frame.  A Demkov-Osherov or bow-tie
+sweep is one block unless a level decouples.
 Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held as
 (d, d, N) stacks: below _MATMUL_LEVELS = 5 levels the stacks are levels first
 and a stacked product is d^3 multiply-adds on length-N rows; from 5 levels up
@@ -28,6 +34,7 @@ is what makes T ~ hundreds affordable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,6 +67,7 @@ _MATMUL_SHORT = 4
 _CHUNK = 2**17  # time points per budget pass; bounds memory
 _DENSITY_RTOL = 1e-3  # knot spacing: relative midpoint error of the linear density
 _SLACK = 1e-8  # relative margin of each step below its budget, above rounding
+_ROUNDOFF = 8.0 * np.finfo(float).eps  # rotated entries at most this times max|A| are zero
 
 
 @dataclass(frozen=True)
@@ -358,7 +366,7 @@ def _time_grid(h, spec: PropagationSpec, cuts=()) -> np.ndarray:
 def _pieces(h, spec: PropagationSpec, cuts=()) -> list:
     """The step grid of a sweep over [t0, t1] through every cut, split at the
     cuts into sub-grids that share their end nodes: every propagation's grid."""
-    ts = _time_grid(_checked(h), spec, cuts)
+    ts = _time_grid(h, spec, cuts)
     bounds = np.concatenate([[0], np.searchsorted(ts, cuts), [ts.size - 1]])
     return [ts[lo : hi + 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -470,12 +478,79 @@ def _evolve_on_grid(sweep, ts: np.ndarray, spec: PropagationSpec):
     return u_half, estimate
 
 
+def _segments(h, spec: PropagationSpec, cuts=()):
+    """Yield (U, estimate) for each stretch of [t0, t1] between the cuts, in
+    the frame of h; the estimate is the stretch's largest step-halving
+    estimate (0.0 if nothing is integrated), None without verify.
+
+    When D is diagonal, each group of equal-slope levels whose A block has an
+    off-diagonal entry is rotated to the eigenbasis of that block, which does
+    not depend on t: R^dagger H(t) R = A' + t D, with rotated entries at most
+    _ROUNDOFF max|A| set to zero.  Each connected component of the couplings
+    of A' and D is propagated on its own grid, the steps of all of them
+    counting against spec.max_steps; a one-level component is its exact
+    phase (1 in the interaction picture).  A stretch from ta to tb maps back
+    as R U' R^dagger in the lab frame and as W(tb) U' W(ta)^dagger in the
+    interaction picture, W(t)_jk = R_jk exp(i (a'_k - a_j) t): R mixes only
+    levels of one slope, whose t^2/2 phases cancel.  With no rotation and one
+    component, U is the propagation of h as a whole.
+    """
+    frame = isinstance(_checked(h), InteractionPicture)
+    sweep = h.base if frame else h
+    a, d = sweep.a, sweep.d
+    dim = a.shape[0]
+    rot = np.eye(dim, dtype=complex)
+    turned = np.zeros(dim, dtype=bool)
+    if np.array_equal(d, np.diag(np.diag(d))):
+        for slope in np.unique(sweep._diag_d):
+            group = np.flatnonzero(sweep._diag_d == slope)
+            block = a[np.ix_(group, group)]
+            if np.count_nonzero(block - np.diag(np.diag(block))):
+                rot[np.ix_(group, group)] = np.linalg.eigh(block)[1]
+                turned[group] = True
+    if turned.any():
+        rotated = np.conj(rot.T) @ a @ rot
+        rotated = 0.5 * (rotated + np.conj(rotated.T))
+        rotated[np.abs(rotated) <= _ROUNDOFF * max_abs(a)] = 0.0
+        a = np.where(turned[:, None] | turned[None, :], rotated, a)
+    linked = (a != 0) | (d != 0) | np.eye(dim, dtype=bool)
+    for _ in range(dim.bit_length()):  # paths of up to 2^k couplings
+        linked = linked @ linked
+    first = linked.argmax(axis=1)  # a component is named by its lowest level
+    components = [np.flatnonzero(first == level) for level in np.unique(first)]
+
+    budget, blocks = spec.max_steps, []
+    for levels in components:
+        if levels.size > 1:
+            sub = AffineHamiltonian(a[np.ix_(levels, levels)], d[np.ix_(levels, levels)])
+            sub = InteractionPicture(sub) if frame else sub
+            pieces = _pieces(sub, replace(spec, max_steps=budget), cuts)
+            budget -= sum(piece.size - 1 for piece in pieces)
+            blocks.append((levels, sub, pieces))
+    singles = np.array([c[0] for c in components if c.size == 1], dtype=int)
+    diag_a = np.real(np.diag(a))
+    edges = np.concatenate([[spec.t0], np.asarray(cuts, dtype=float), [spec.t1]])
+    for k, (ta, tb) in enumerate(zip(edges[:-1], edges[1:])):
+        u = np.zeros((dim, dim), dtype=complex)
+        phase = (tb - ta) * (diag_a + 0.5 * (ta + tb) * sweep._diag_d)  # int of a + t d
+        u[singles, singles] = 1.0 if frame else np.exp(1j * phase[singles])
+        estimates = []
+        for levels, sub, pieces in blocks:
+            u[np.ix_(levels, levels)], estimate = _evolve_on_grid(sub, pieces[k], spec)
+            estimates.append(estimate)
+        if turned.any():
+            wa, wb = (rot * np.exp(1j * (diag_a - sweep._diag_a[:, None]) * t) if frame else rot
+                      for t in (ta, tb))
+            u = wb @ u @ np.conj(wa.T)
+        yield u, max(estimates, default=0.0) if spec.verify else None
+
+
 def evolve_operator(h, spec: PropagationSpec):
     """Full propagator over [t0, t1]; returns (U, error_estimate), the estimate
     being the max-abs difference against a half-step rerun when verify is set
     (NumericalError above rtol), else None."""
-    (grid,) = _pieces(h, spec)
-    return _evolve_on_grid(h, grid, spec)
+    ((u, estimate),) = _segments(h, spec)
+    return u, estimate
 
 
 def propagate(h, psi0, spec: PropagationSpec) -> WaveState:
@@ -496,8 +571,8 @@ def population_trajectory(h, psi0, spec: PropagationSpec, sample_times) -> np.nd
     if np.any(samples < spec.t0) or np.any(samples > spec.t1) or np.any(np.diff(samples) <= 0):
         raise ValueError("sample_times must be increasing and inside [t0, t1]")
     psi, out = np.asarray(psi0, dtype=complex), []
-    for piece in _pieces(h, spec, samples)[:-1]:
-        psi = _evolve_on_grid(h, piece, spec)[0] @ psi
+    for u, _ in itertools.islice(_segments(h, spec, samples), samples.size):
+        psi = u @ psi
         out.append(psi)
     return np.array(out)
 
@@ -508,15 +583,16 @@ def transition_matrix(model, horizon: float, spec: PropagationSpec | None = None
     Propagates the full basis in the interaction picture once over [-2T, 2T],
     cut at -T and T so both horizons share the [-T, T] window, and extrapolates
     to the infinite-horizon limit assuming 1/T corrections (P_inf ~ 2 P(2T) -
-    P(T)).  `spec.max_steps` bounds the steps of the whole run.
+    P(T)).  The sweep is propagated block by block (see `_segments`): for ado,
+    the bright state of the sloped pair with the flat levels, and the dark
+    state as a phase.  `spec.max_steps` bounds the steps of all blocks.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     ip = model if isinstance(model, InteractionPicture) else interaction_picture(model)
     base = spec or PropagationSpec(t0=-horizon, t1=horizon, verify=False)
     run = replace(base, t0=-2.0 * horizon, t1=2.0 * horizon)
-    cuts = (-horizon, horizon)
-    u_left, u_mid, u_right = (_evolve_on_grid(ip, p, run)[0] for p in _pieces(ip, run, cuts))
+    u_left, u_mid, u_right = (u for u, _ in _segments(ip, run, (-horizon, horizon)))
     tables = []
     for u in (u_mid, u_right @ u_mid @ u_left):
         unito = max_abs(u @ np.conj(u.T) - np.eye(u.shape[0]))

@@ -353,6 +353,8 @@ def test_transition_table_matches_the_oracle_on_every_entry():
         bound = _first_order_horizon_bound(sweep.a.real, np.diag(sweep.d.real), 2.0 * horizon)
         bound += 1e-6
         assert np.all(np.abs(oracle - do.transition_table(entries)) <= bound), params
+        for k in params.decoupled_levels:  # a block of one level: an exact phase
+            assert np.array_equal(oracle[:, k], np.eye(params.n + 1)[k]), params
     assert {p.n for p in models} == {1, 2, 3, 4, 5}
     assert negative >= 5 and decoupled >= 5
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lzi
-from lzi.errors import DegenerateSpectralError, SameSiteError
+from lzi.errors import DegenerateSpectralError, NumericalError, SameSiteError
 
 
 def _richardson_set(cfg, system):
@@ -111,6 +111,12 @@ def test_verify_commuting_detects_inconsistent_parameters():
     report = lzi.verify_commuting(ops, tol=1e-12)
     assert report.max_defect > 1e-3
     assert not report.passed
+
+
+def test_verify_commuting_raises_on_a_nan_defect_naming_the_pair():
+    # NaN > worst is False, so the check must come before that comparison
+    with pytest.raises(NumericalError, match=r"pair \(0, 1\) is nan"):
+        lzi.verify_commuting([np.full((2, 2), np.nan), np.eye(2)])
 
 
 def test_flatness_two_sites():

@@ -11,10 +11,12 @@ import lzi
 from lzi.errors import NumericalError
 from lzi import propagator
 from lzi.propagator import (
+    _evolve_on_grid,
     _expm_i_batch,
     _mul,
     _operator_on_grid,
     _pairwise_product,
+    _pieces,
     _time_grid,
 )
 
@@ -400,6 +402,96 @@ def test_default_engine_tables_match_dop853(model):
     result = lzi.transition_matrix(sweep, horizon, spec)
     for table, window in ((result.matrix_at_T, horizon), (result.matrix_at_2T, 2.0 * horizon)):
         assert np.abs(table - _dop853_table(sweep, window)).max() < 1e-7
+
+
+def _ado_models():
+    """Seeded ado models: couplings in [0.2, 0.7], flat levels in [-1, 1] at
+    least 0.3 apart; one with gamma_0 = gamma_1 (bright and dark at 45
+    degrees), two with two flat levels."""
+    rng = np.random.default_rng(12)
+    models = []
+    for flat in (1, 1, 2, 1, 2, 3):
+        gamma = rng.uniform(0.2, 0.7, flat + 2)
+        a = np.sort(rng.choice(np.linspace(-1.0, 1.0, 7), flat, replace=False))
+        models.append(lzi.ADOParams(gamma=gamma, a=a))
+    models[0] = lzi.ADOParams(gamma=[0.45, 0.45, 0.6], a=[0.2])
+    return models
+
+
+def test_ado_tables_match_dop853_on_every_entry():
+    # the sloped pair is propagated as its bright level with the flat ones,
+    # the dark level as an exact phase; both horizons' tables, every entry
+    horizon = 5.0
+    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, verify=False)
+    models = _ado_models()
+    assert any(p.gamma[0] == p.gamma[1] for p in models)
+    assert sum(p.n == 3 for p in models) >= 2
+    for params in models:
+        sweep = lzi.ado_sweep(params)
+        result = lzi.transition_matrix(sweep, horizon, spec)
+        for table, window in ((result.matrix_at_T, horizon), (result.matrix_at_2T, 2.0 * horizon)):
+            assert np.abs(table - _dop853_table(sweep, window)).max() < 1e-8, params
+
+
+def test_split_sweep_agrees_between_lab_frame_and_interaction_picture():
+    # the rotated sloped pair maps back through R in the lab frame and through
+    # R and the frame phases in the interaction picture; the 0 <-> 1 entries
+    # oscillate with (gamma_0^2 - gamma_1^2) t, which a wrong map would miss
+    sweep = lzi.ado_sweep(lzi.ADOParams(gamma=[0.3, 0.55, 0.4, 0.5], a=[-0.6, 0.7]))
+    t0, t1 = -7.0, 6.0
+    spec = lzi.PropagationSpec(t0=t0, t1=t1, base_step=0.005, theta=0.02, verify=False)
+    lab, _ = lzi.evolve_operator(sweep, spec)
+    frame, _ = lzi.evolve_operator(lzi.interaction_picture(sweep), spec)
+    lam0, lam1 = sweep.diag_phase_integral(np.array([t0, t1]))
+    assert np.abs(lab - np.exp(1j * lam1)[:, None] * frame * np.exp(-1j * lam0)).max() < 1e-8
+    assert np.abs(frame[0, 1]) > 0.1
+
+
+@pytest.mark.parametrize("model", ["do-3", "bow-tie-2"])
+def test_single_block_tables_are_the_whole_frame_propagation(model):
+    # no equal-slope group to rotate and one coupled block: bit for bit the
+    # propagation of the whole interaction picture over [-2T, 2T]
+    sweep = {"do-3": DO3, "bow-tie-2": BOW_TIE2}[model]
+    horizon = 10.0
+    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+    result = lzi.transition_matrix(sweep, horizon, spec)
+    frame = lzi.interaction_picture(sweep)
+    run = replace(spec, t0=-2.0 * horizon, t1=2.0 * horizon)
+    left, mid, right = (
+        _evolve_on_grid(frame, piece, run)[0] for piece in _pieces(frame, run, (-horizon, horizon))
+    )
+    assert np.array_equal(result.matrix_at_T, np.abs(mid) ** 2)
+    assert np.array_equal(result.matrix_at_2T, np.abs(right @ mid @ left) ** 2)
+
+
+def _two_pair_sweep():
+    """Two LZ pairs that never couple to each other: two blocks of two."""
+    a = np.zeros((4, 4))
+    a[0, 2] = a[2, 0] = 0.4
+    a[1, 3] = a[3, 1] = 0.3
+    return lzi.AffineHamiltonian(a + np.diag([0.0, 0.5, -0.2, 0.1]), np.diag([1.0, -1.0, 0.0, 0.5]))
+
+
+@pytest.mark.parametrize("model", ["ado", "two-pairs"])
+def test_transition_matrix_budget_counts_the_steps_of_every_block(model):
+    # ado propagates its bright level (diagonal g0^2 + g1^2) with the flat
+    # level; the dark level is a phase and takes no step
+    g0, g1, g2, a2 = 0.3, 0.4, 0.5, 0.2
+    if model == "ado":
+        sweep = lzi.ado_sweep(lzi.ADOParams(gamma=[g0, g1, g2], a=[a2]))
+        norm = np.hypot(g0, g1)
+        bright = np.array([[norm**2, norm * g2], [norm * g2, a2]])
+        blocks = [lzi.AffineHamiltonian(bright, np.diag([1.0, 0.0]))]
+    else:
+        sweep = _two_pair_sweep()
+        blocks = [lzi.AffineHamiltonian(sweep.a[np.ix_(b, b)], sweep.d[np.ix_(b, b)])
+                  for b in ([0, 2], [1, 3])]
+    spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, theta=0.25, verify=False)
+    run = replace(spec, t0=-10.0, t1=10.0)
+    steps = sum(_time_grid(lzi.interaction_picture(b), run, (-5.0, 5.0)).size for b in blocks)
+    with pytest.raises(NumericalError, match="step budget"):
+        lzi.transition_matrix(sweep, 5.0, replace(spec, max_steps=steps - 10))
+    lzi.transition_matrix(sweep, 5.0, replace(spec, max_steps=steps + 10))
 
 
 def test_magnus4_equal_slope_populations_stay_at_cf4_accuracy():
