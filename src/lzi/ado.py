@@ -448,8 +448,7 @@ class FourierResult:
     center: float
 
 
-def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float,
-                        taper: float, a: np.ndarray):
+def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float, taper: float):
     from scipy.integrate import quad  # on first use: it costs more than the rest of `import lzi`
 
     flat = 1.0 - taper
@@ -463,10 +462,10 @@ def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float
         return 0.5 * (1.0 + np.cos(np.pi * (x - flat) / taper))
 
     def integrand(om: float) -> complex:
-        return weight(om) * sol.scalar(om, a) * np.exp(1j * om * t)
+        return weight(om) * sol.scalar(om) * np.exp(1j * om * t)
 
     lo, hi = center - window, center + window
-    interior = [float(x) for x in a if lo < x < hi]
+    interior = [float(x) for x in sol.a if lo < x < hi]
     limit = min(int(200 + window * window / 3.0), 50_000)
     re, re_err = quad(lambda om: integrand(om).real, lo, hi,
                       limit=limit, points=interior or None, epsabs=1e-10, epsrel=1e-9)
@@ -475,8 +474,8 @@ def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float
     return complex(re, im), re_err + im_err
 
 
-def time_domain_wavefunction(sol: EKZSolution, t: float, qspec: QuadratureSpec | None = None,
-                             a=None) -> FourierResult:
+def time_domain_wavefunction(sol: EKZSolution, t: float,
+                             qspec: QuadratureSpec | None = None) -> FourierResult:
     """Evaluate the real-time wavefunction integral dOmega Phi(omega) e^{i omega t}.
 
     The window is centred on the stationary-phase point beta1 (1+m) - t,
@@ -484,13 +483,12 @@ def time_domain_wavefunction(sol: EKZSolution, t: float, qspec: QuadratureSpec |
     agree within the requested tolerance; QuadratureError otherwise.
     """
     qspec = qspec or QuadratureSpec()
-    a = sol.a if a is None else np.asarray(a, dtype=float)
     center = sol.beta1 * (1 + sol.m) - t
     window = qspec.initial_window
-    value, quad_err = _windowed_transform(sol, t, center, window, qspec.taper_fraction, a)
+    value, quad_err = _windowed_transform(sol, t, center, window, qspec.taper_fraction)
     for _ in range(qspec.max_doublings):
         window2 = 2.0 * window
-        value2, quad_err2 = _windowed_transform(sol, t, center, window2, qspec.taper_fraction, a)
+        value2, quad_err2 = _windowed_transform(sol, t, center, window2, qspec.taper_fraction)
         delta = abs(value2 - value)
         if delta <= qspec.tolerance * max(1.0, abs(value2)):
             return FourierResult(

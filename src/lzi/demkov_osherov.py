@@ -16,7 +16,10 @@ are written in solvability coordinates (gamma, epsilon):
 Eigenvalues are E = gamma_0^2 / (x - eps_0) with x any root of the rational
 secular equation  t = sum_k gamma_k^2 / (x - eps_k); the matching eigenvector
 has components gamma_k / (x - eps_k).  Roots interlace the poles eps_k, with
-one extra exterior root on the sign(t) side that escapes to infinity at t = 0.
+one extra exterior root on the sign(t) side that escapes to infinity at t = 0;
+a decoupled level (gamma_k = 0) holds a root frozen exactly at its pole.  The
+flow tracker labels branches by that interlacing order, and the diagonal shift
+that makes raw entries consistent is read from the spectrum of H(0).
 
 The bow-tie variant (all diagonal slopes distinct, one common crossing point)
 reuses the same entries with the flat diagonal replaced by (r_i + 1) t.
@@ -48,9 +51,9 @@ __all__ = [
     "transition_table",
 ]
 
-#: roots closer than this (relative to the pole scale) to a decoupled pole
-#: are treated as exactly frozen there
-_FROZEN_TOL = 1e-9
+#: a root closer than this (relative to the pole scale) to a coupled pole has
+#: no closed-form eigenvector
+_POLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -205,19 +208,6 @@ def entries_from_gamma(p: DOParams) -> DOHamiltonianEntries:
     return DOHamiltonianEntries(a00=a00, a0=a0, v0=v0)
 
 
-def _shift_polynomial(entries: DOHamiltonianEntries) -> np.ndarray:
-    """Coefficients (highest first) of the degree-(n+1) polynomial in the
-    shift a whose roots make the shifted entries consistent:
-
-        (a00 + a) prod_i (a0_i + a) - sum_i v0_i^2 prod_{j != i} (a0_j + a).
-    """
-    coeffs = np.atleast_1d(np.poly(-np.concatenate([[entries.a00], entries.a0])))
-    for i in range(entries.n):
-        rest = entries.v0[i] ** 2 * np.atleast_1d(np.poly(-np.delete(entries.a0, i)))
-        coeffs = coeffs - np.pad(rest, (len(coeffs) - len(rest), 0))
-    return coeffs
-
-
 def gamma_from_entries(
     entries: DOHamiltonianEntries, shift_search: tuple = (-1e6, 1e6)
 ) -> tuple:
@@ -226,45 +216,34 @@ def gamma_from_entries(
     A constant `shift` is added to the whole diagonal so the consistency
     relation a00 = sum v0^2/a0 holds, then gamma and epsilon are read off in
     the gauge eps_0 = 0, gamma_0 = 1 (a one-parameter rescaling gauge makes
-    gamma_0 a free choice; the Hamiltonian is unchanged).  The real shift of
-    smallest magnitude inside `shift_search` is selected.
+    gamma_0 a free choice; the Hamiltonian is unchanged).  The relation is
+    det(A + shift I) = 0 for the t = 0 arrowhead A, so the candidate shifts
+    are minus its eigenvalues, all real; the one of smallest magnitude inside
+    `shift_search` is selected and refined by one Newton step on the relation.
     """
     if np.any(entries.v0 == 0.0):
         raise DegenerateSpectralError("zero coupling: the inverse map needs v0_i != 0")
-    coeffs = _shift_polynomial(entries)
-    roots = np.roots(coeffs)
-    scale = max(1.0, abs(entries.a00), float(np.abs(entries.a0).max()))
-    real = np.sort(roots[np.abs(roots.imag) < 1e-8 * scale].real)
+    shifts = -np.linalg.eigvalsh(build_do_hamiltonian(entries, 0.0))[::-1]
     lo, hi = min(shift_search), max(shift_search)
-    real = real[(real >= lo) & (real <= hi)]
-    # Newton polish on f(a) = (a00+a) - sum v^2/(a0+a); f is strictly increasing
-    polished = []
-    for a in real:
-        for _ in range(4):
-            den = entries.a0 + a
-            if np.any(den == 0.0):
-                break
-            f = (entries.a00 + a) - np.sum(entries.v0**2 / den)
-            fp = 1.0 + np.sum(entries.v0**2 / den**2)
-            a = a - f / fp
-        polished.append(a)
-    polished = [a for a in polished if lo <= a <= hi and np.all(entries.a0 + a != 0.0)]
-    if not polished:
+    usable = (shifts >= lo) & (shifts <= hi) & np.all(entries.a0 + shifts[:, None] != 0.0, axis=1)
+    if not np.any(usable):
         raise NoRealShiftError(
             f"no real diagonal shift in [{lo:g}, {hi:g}] makes the entries consistent"
         )
-    shift = min(polished, key=abs)
+    shift = float(min(shifts[usable], key=abs))
+    # the relation's slope 1 + sum v0^2 / (a0 + a)^2 reaches ~1e3 when a shifted flat level
+    # lands near 0, and would magnify eigvalsh's rounding in the consistency defect
+    den = entries.a0 + shift
+    shift -= (entries.a00 + shift - np.sum(entries.v0**2 / den)) / (1.0 + np.sum(entries.v0**2 / den**2))
     a0 = entries.a0 + shift
     require_distinct(a0, "shifted diagonal a0")
     epsilon = np.concatenate([[0.0], 1.0 / a0])
     gamma = np.concatenate([[1.0], -entries.v0 / a0])
-    return DOParams(gamma=gamma, epsilon=epsilon), float(shift)
+    return DOParams(gamma=gamma, epsilon=epsilon), shift
 
 
-def _secular_polynomial(p: DOParams, t: float) -> np.ndarray:
-    """Coefficients of t * prod_j (x - eps_j) - sum_i g_i^2 prod_{j != i} (x - eps_j)."""
-    g2 = p.gamma**2
-    e = p.epsilon
+def _secular_polynomial(g2: np.ndarray, e: np.ndarray, t: float) -> np.ndarray:
+    """Coefficients of t * prod_j (x - e_j) - sum_i g2_i prod_{j != i} (x - e_j)."""
     coeffs = t * np.atleast_1d(np.poly(e))
     for i in range(e.size):
         rest = g2[i] * np.atleast_1d(np.poly(np.delete(e, i)))
@@ -276,33 +255,24 @@ def spectral_roots(p: DOParams, t: float) -> np.ndarray:
     """All n+1 roots of  t = sum_k gamma_k^2 / (x - eps_k), sorted ascending.
 
     At t = 0 the exterior root is at infinity; it is reported as +inf (the
-    t -> 0+ limit).  Roots frozen at decoupled poles (gamma_k = 0) are exact.
-    Companion-matrix roots are polished by Newton iteration on the rational
-    form, which restores full precision near the poles.
+    t -> 0+ limit).  The secular polynomial is solved over the coupled levels
+    only, and its companion-matrix roots are polished by Newton iteration on
+    the rational form, which restores full precision near the poles.  Each
+    decoupled pole (gamma_k = 0) is then appended as an exactly frozen root.
     """
-    e = p.epsilon
     g2 = p.gamma**2
     active = g2 > 0.0
-    coeffs = _secular_polynomial(p, t)
+    g2, e = g2[active], p.epsilon[active]
+    coeffs = _secular_polynomial(g2, e, t)
     if t == 0.0:
         coeffs = coeffs[1:]  # degree drops by one; exterior root escapes
     roots = np.roots(coeffs).real.astype(float)
-
-    scale = max(1.0, float(np.abs(e).max()))
-    frozen_poles = e[~active]
     for _ in range(3):
-        frozen = np.zeros(roots.shape, dtype=bool)
-        for pole in frozen_poles:
-            near = np.abs(roots - pole) < _FROZEN_TOL * scale
-            roots[near] = pole
-            frozen |= near
-        live = ~frozen
-        d = roots[live, None] - e[None, active]
-        f = (g2[None, active] / d).sum(axis=1) - t
-        fp = -(g2[None, active] / d**2).sum(axis=1)
-        roots[live] = roots[live] - f / fp
-
-    roots = np.sort(roots)
+        d = roots[:, None] - e[None, :]
+        f = (g2[None, :] / d).sum(axis=1) - t
+        fp = -(g2[None, :] / d**2).sum(axis=1)
+        roots = roots - f / fp
+    roots = np.sort(np.concatenate([roots, p.epsilon[~active]]))
     if t == 0.0:
         roots = np.append(roots, np.inf)
     return roots
@@ -313,9 +283,10 @@ def eigenpair(p: DOParams, t: float, branch: int):
 
     Branches index the ascending-sorted output of :func:`spectral_roots`.
     The eigenvector components are gamma_k / (x - eps_k); at a root frozen on
-    a decoupled pole the limit is the bare basis vector of that level, and at
-    the t = 0 exterior root (x at infinity) the limit is the coupling vector
-    gamma itself with eigenvalue exactly 0.
+    a decoupled pole (equal to it, as :func:`spectral_roots` returns it) the
+    eigenvector is the bare basis vector of that level, and at the t = 0
+    exterior root (x at infinity) the limit is the coupling vector gamma
+    itself with eigenvalue exactly 0.
     """
     roots = spectral_roots(p, t)
     x = roots[branch]
@@ -324,14 +295,12 @@ def eigenpair(p: DOParams, t: float, branch: int):
     if np.isinf(x):
         vec = g / np.linalg.norm(g)
         return 0.0, vec
-    frozen = np.abs(x - e) < _FROZEN_TOL * max(1.0, float(np.abs(e).max()))
+    frozen = (x == e) & (g == 0.0)
     if np.any(frozen):
-        k = int(np.argmax(frozen))
-        if g[k] != 0.0:
-            raise DegenerateSpectralError(f"root collides with coupled pole eps_{k}")
-        vec = np.zeros(e.size)
-        vec[k] = 1.0
-        return float(g[0] ** 2 / (x - e[0])), vec
+        return float(g[0] ** 2 / (x - e[0])), frozen.astype(float)
+    collides = (np.abs(x - e) < _POLE_TOL * max(1.0, float(np.abs(e).max()))) & (g != 0.0)
+    if np.any(collides):
+        raise DegenerateSpectralError(f"root collides with coupled pole eps_{int(np.argmax(collides))}")
     vec = g / (x - e)
     vec = vec / np.linalg.norm(vec)
     return float(g[0] ** 2 / (x - e[0])), vec
@@ -343,9 +312,10 @@ class SpectralFlow:
 
     branches[k, m] is branch m at t_grid[k]; energies holds the matching
     eigenvalues gamma_0^2 / (x - eps_0).  Branch labels record the spectral
-    interval each branch occupies ("interval:i" below the (i+1)-th active
-    pole, "exterior" outside the pole hull, "frozen:k" at a decoupled pole);
-    columns are ordered by ascending root value at the first grid point.
+    interval each branch occupies ("interval:i" between the (i+1)-th and
+    (i+2)-th coupled poles, "exterior" outside the pole hull, "frozen:<eps_k>"
+    at a decoupled pole); columns are ordered by ascending root value at the
+    first grid point.
     """
 
     t_grid: np.ndarray
@@ -355,76 +325,49 @@ class SpectralFlow:
     decoupled: tuple
 
 
-def _classify_roots(roots: np.ndarray, active_poles: np.ndarray, frozen_poles: np.ndarray, t: float, scale: float):
-    """Assign each root a stable label; raises NumericalError on failure."""
-    labels = [None] * roots.size
-    used = np.zeros(roots.size, dtype=bool)
-    for pole in frozen_poles:
-        hits = np.where(~used & (np.abs(roots - pole) <= _FROZEN_TOL * scale))[0]
-        if hits.size != 1:
-            raise NumericalError(f"expected one frozen root at pole {pole:g}, found {hits.size}")
-        labels[hits[0]] = "frozen:%g" % pole
-        used[hits[0]] = True
-    boundary_tol = 1e-12 * scale
-    for idx in np.where(~used)[0]:
-        x = roots[idx]
-        if np.isinf(x) or x > active_poles[-1] + boundary_tol or x < active_poles[0] - boundary_tol:
-            label = "exterior"
-        else:
-            side = np.searchsorted(active_poles, x)
-            if np.any(np.abs(x - active_poles) <= boundary_tol):
-                raise NumericalError(f"root {x!r} ambiguous: within 1e-12 of an active pole")
-            label = f"interval:{side - 1}"
-        if label in labels:
-            raise NumericalError(f"two roots claim label {label} at t={t!r}")
-        labels[idx] = label
-    if "exterior" not in labels:
-        raise NumericalError(f"missing exterior root at t={t!r}")
-    for i in range(active_poles.size - 1):
-        if f"interval:{i}" not in labels:
-            raise NumericalError(f"interlacing violated at t={t!r}: empty interval {i}")
-    return labels
-
-
 def track_spectral_flow(p: DOParams, t_grid) -> SpectralFlow:
     """Follow every root branch across a monotone time grid.
 
-    Interlacing pins each interior branch to its spectral interval for all t,
-    so branch identity is the interval label; the single exterior branch
-    switches sides through +-infinity at t = 0.  On a classification failure
-    the offending step is bisected up to 10 times before giving up.
+    Each branch is labelled by position, as interlacing fixes it (Golub, SIAM
+    Rev. 15, 318 (1973)): frozen roots are the decoupled poles, and the live
+    roots in ascending order are interval:0 .. interval:m-2 between the m
+    coupled poles, plus the exterior root, which is last for t >= 0 and first
+    for t < 0 (it switches sides through +-infinity at t = 0).  NumericalError
+    names the first t at which a decoupled pole is missing from the roots, an
+    interval root leaves its interval, a live root comes within 1e-12 (times
+    the pole scale) of a coupled pole, or the exterior root is not outside the
+    pole hull on the sign(t) side.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing with >= 2 points")
     active = p.gamma**2 > 0.0
-    active_poles = np.sort(p.epsilon[active])
-    frozen_poles = p.epsilon[~active]
+    poles = np.sort(p.epsilon[active])
+    frozen_poles = np.sort(p.epsilon[~active])
     scale = max(1.0, float(np.abs(p.epsilon).max()))
 
-    def roots_and_labels(t, depth=0):
-        roots = spectral_roots(p, t)
-        try:
-            labels = _classify_roots(roots, active_poles, frozen_poles, t, scale)
-        except NumericalError:
-            if depth >= 10:
-                raise
-            # re-polish from a nearby time to nudge the root off the boundary
-            return roots_and_labels(np.nextafter(t, t + 1.0), depth + 1)
-        return roots, labels
+    roots = np.array([spectral_roots(p, t) for t in t_grid])
+    # one copy of each frozen pole, at its first place in the sorted roots
+    at = np.minimum((roots[:, :, None] < frozen_poles).sum(axis=1), roots.shape[1] - 1)
+    found = np.all(np.take_along_axis(roots, at, axis=1) == frozen_poles, axis=1)
+    _require(found, t_grid, "miss a decoupled pole")
+    live = np.ones(roots.shape, dtype=bool)
+    np.put_along_axis(live, at, False, axis=1)
+    live = roots[live].reshape(t_grid.size, poles.size)
+    negative = t_grid < 0.0
+    live[negative] = np.roll(live[negative], -1, axis=1)  # exterior last on every row
 
-    first_roots, first_labels = roots_and_labels(t_grid[0])
-    order = np.argsort(first_roots)
-    column_labels = tuple(first_labels[i] for i in order)
+    inside = (live[:, :-1] > poles[:-1]) & (live[:, :-1] < poles[1:])
+    clear = np.abs(live[:, :, None] - poles) > 1e-12 * scale
+    exterior = np.where(negative, live[:, -1] < poles[0], live[:, -1] > poles[-1])
+    _require(inside.all(axis=1) & clear.all(axis=(1, 2)) & exterior, t_grid,
+             "break interlacing with the coupled poles")
 
-    nb = first_roots.size
-    branches = np.empty((t_grid.size, nb))
-    for k, t in enumerate(t_grid):
-        roots, labels = roots_and_labels(t)
-        lookup = dict(zip(labels, roots))
-        for m, lab in enumerate(column_labels):
-            branches[k, m] = lookup[lab]
-
+    table = np.hstack([live, np.broadcast_to(frozen_poles, (t_grid.size, frozen_poles.size))])
+    labels = [f"interval:{i}" for i in range(poles.size - 1)] + ["exterior"]
+    labels += ["frozen:%g" % pole for pole in frozen_poles]
+    order = np.argsort(table[0], kind="stable")  # columns by ascending root at t_grid[0]
+    branches = table[:, order]
     with np.errstate(divide="ignore"):
         energies = p.gamma[0] ** 2 / (branches - p.epsilon[0])
     energies[np.isinf(branches)] = 0.0
@@ -432,6 +375,12 @@ def track_spectral_flow(p: DOParams, t_grid) -> SpectralFlow:
         t_grid=t_grid.copy(),
         branches=branches,
         energies=energies,
-        labels=column_labels,
+        labels=tuple(labels[i] for i in order),
         decoupled=p.decoupled_levels,
     )
+
+
+def _require(ok: np.ndarray, t_grid: np.ndarray, failure: str):
+    """Raise NumericalError naming the first grid time where `ok` is False."""
+    if not np.all(ok):
+        raise NumericalError(f"spectral roots at t={float(t_grid[np.argmin(ok)])!r} {failure}")

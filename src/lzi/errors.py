@@ -18,7 +18,7 @@ class DegenerateSpectralError(LziError, ValueError):
 
 
 class NoRealShiftError(LziError, ValueError):
-    """The diagonal-shift polynomial has no real root in the search interval."""
+    """No usable diagonal shift (minus an eigenvalue of H(0)) lies in the search interval."""
 
 
 class NumericalError(LziError, RuntimeError):

@@ -139,7 +139,13 @@ class AffineHamiltonian:
         d = np.asarray(d, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != d.shape:
             raise ValueError("A and D must be square matrices of equal shape")
-        if hermiticity_defect(a) > 1e-12 or hermiticity_defect(d) > 1e-12:
+        with np.errstate(invalid="ignore"):  # a non-finite entry makes its defect NaN
+            hermitian = hermiticity_defect(a) <= 1e-12 and hermiticity_defect(d) <= 1e-12
+        if not hermitian:
+            for name, m in (("A", a), ("D", d)):
+                bad = np.argwhere(~np.isfinite(m))
+                if bad.size:
+                    raise ValueError(f"{name} has non-finite entries at {[tuple(i) for i in bad.tolist()]}")
             raise ValueError("A and D must be Hermitian")
         self.a = a
         self.d = d

@@ -713,6 +713,11 @@ _CONFIG_ERRORS = {
     "evolve-closed-form-initial-state-seven": ("evolve", ("initial_state",), 7, _EVOLVE_CF),
     "evolve-closed-form-negative-theta": ("evolve", ("propagation", "theta"), -1, _EVOLVE_CF),
     "evolve-closed-form-method-euler": ("evolve", ("propagation", "method"), "euler", _EVOLVE_CF),
+    # a coupling whose square overflows: the sweep's A gets an infinite entry
+    "tm-ado-gamma-squared-overflows": ("transition-matrix", ("params", "gamma"), [1e160, 0.4, 0.5], None),
+    "evolve-ado-gamma-squared-overflows": (
+        "evolve", ("params", "gamma"), [1e160, 0.4, 0.5], dict(_VALID["evolve"], model="ado", params=_ADO)
+    ),
     # mutually exclusive keys
     "cf-omega-grid-and-t-grid": ("closed-form", ("t_grid",), _CF_TIME["t_grid"], None),
     "lzp-points-and-gamma-lists": (

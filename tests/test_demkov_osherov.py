@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import lzi
 from lzi import demkov_osherov as do
-from lzi.errors import DegenerateSpectralError, NoRealShiftError
+from lzi.errors import DegenerateSpectralError, NoRealShiftError, NumericalError
 
 
 def _random_params(rng, n, gap=0.1):
@@ -113,6 +113,37 @@ def test_shift_matches_quadratic_formula_for_single_flat_level():
     entries = lzi.DOHamiltonianEntries(a00=a00, a0=[a01], v0=[v01])
     _, shift = lzi.gamma_from_entries(entries)
     assert abs(shift - expected) < 1e-10
+
+
+def test_shift_is_the_smallest_consistent_root_of_the_characteristic_polynomial():
+    # oracle: the consistency relation is det(A + a I) = 0 for the t = 0 arrowhead A,
+    # so a is minus a real root of A's characteristic polynomial
+    rng = np.random.default_rng(1414)
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        a00 = float(rng.uniform(-2, 2))
+        a0 = rng.uniform(-3, 3, n)
+        while n >= 2 and np.min(np.abs(a0[:, None] - a0[None, :])[~np.eye(n, dtype=bool)]) < 0.05:
+            a0 = rng.uniform(-3, 3, n)
+        v0 = rng.uniform(0.2, 1.5, n) * rng.choice([-1.0, 1.0], n)
+        entries = lzi.DOHamiltonianEntries(a00=a00, a0=a0, v0=v0)
+        _, shift = lzi.gamma_from_entries(entries)
+        scale = max(1.0, abs(a00), float(np.abs(a0).max()))
+        shifted = lzi.DOHamiltonianEntries(a00=a00 + shift, a0=a0 + shift, v0=v0)
+        assert shifted.consistency_defect() <= 1e-12 * scale
+        roots = np.roots(np.poly(lzi.build_do_hamiltonian(entries, 0.0)))
+        real = roots[np.abs(roots.imag) < 1e-8 * scale].real
+        assert abs(shift + real[np.argmin(np.abs(real))]) <= 1e-9 * scale
+
+
+def test_shift_stays_consistent_where_a_shifted_flat_level_lands_near_zero():
+    # a0 + shift = -0.03 makes the relation's slope ~2e3, so the eigenvalue alone
+    # (rounded at ~1e-16) would leave a defect of ~2e-12
+    entries = lzi.DOHamiltonianEntries(a00=0.841, a0=[-0.937, -0.863], v0=[1.373, -1.201])
+    _, shift = lzi.gamma_from_entries(entries)
+    shifted = lzi.DOHamiltonianEntries(a00=0.841 + shift, a0=entries.a0 + shift, v0=entries.v0)
+    assert np.abs(shifted.a0).min() < 0.05
+    assert shifted.consistency_defect() <= 1e-12
 
 
 def test_shift_search_window_can_exclude_all_roots():
@@ -426,3 +457,45 @@ def test_flow_requires_monotone_grid():
     p = lzi.DOParams(gamma=[1.0, 1.0], epsilon=[0.0, 1.0])
     with pytest.raises(ValueError):
         lzi.track_spectral_flow(p, [0.0, 0.0, 1.0])
+
+
+def test_flow_keeps_labels_where_a_live_root_crosses_a_decoupled_pole():
+    # level 1 decouples at eps = 1, inside the coupled interval (0, 2); the
+    # interval root falls from near 2 to near 0 and passes 1 at t = 0.36
+    p = lzi.DOParams(gamma=[1.0, 0.0, 0.8], epsilon=[0.0, 1.0, 2.0])
+    grid = np.linspace(-4.0, 4.0, 41)
+    flow = lzi.track_spectral_flow(p, grid)
+    assert flow.labels == ("exterior", "frozen:1", "interval:0")
+    assert flow.decoupled == (1,)
+    assert np.all(flow.branches[:, 1] == 1.0)
+    interval = flow.branches[:, 2]
+    assert interval[0] > 1.0 > interval[-1]
+    for t, x in zip(grid, interval):
+        # oracle: t = 1/x + 0.64/(x - 2), i.e. t x^2 - (2t + 1.64) x + 2 = 0, root in (0, 2)
+        roots = np.roots([t, -(2.0 * t + 1.64), 2.0])  # one root at t = 0, where t drops out
+        expected = roots[(roots.real > 0.0) & (roots.real < 2.0)].real
+        assert expected.size == 1 and abs(x - expected[0]) < 1e-12
+    exterior = flow.branches[:, 0]
+    assert np.all(exterior[grid < 0] < 0.0) and np.all(exterior[grid >= 0] > 2.0)
+
+
+@pytest.mark.parametrize(
+    "bad_t, bad_roots",
+    [
+        (0.5, [0.2, 0.6, 2.5]),  # two roots in interval 0, none in interval 1
+        (0.5, [-0.5, 0.5, 1.5]),  # exterior root below the hull at t > 0
+        (-1.0, [0.5, 1.5, 2.5]),  # exterior root above the hull at t < 0
+        (0.5, [0.5, 1.5, 1.7]),  # exterior root inside the hull
+        (0.5, [0.5, 1.0 + 1e-13, 2.5]),  # a live root on a coupled pole
+    ],
+)
+def test_flow_raises_naming_the_time_where_interlacing_breaks(monkeypatch, bad_t, bad_roots):
+    p = lzi.DOParams(gamma=[1.0, 1.0, 1.0], epsilon=[0.0, 1.0, 2.0])
+    exact = do.spectral_roots
+
+    def roots(params, t):
+        return np.array(bad_roots) if t == bad_t else exact(params, t)
+
+    monkeypatch.setattr(do, "spectral_roots", roots)
+    with pytest.raises(NumericalError, match=rf"t={bad_t!r} "):
+        lzi.track_spectral_flow(p, [-1.0, 0.5, 2.0])

@@ -577,6 +577,16 @@ def test_hermiticity_validation():
         lzi.AffineHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
+def test_non_finite_entries_are_rejected_by_name():
+    # a non-finite entry is named, not reported as a Hermiticity failure
+    a = np.array([[np.nan, 0.3], [0.3, 0.0]])
+    with pytest.raises(ValueError, match=r"A has non-finite entries at \[\(0, 0\)\]"):
+        lzi.AffineHamiltonian(a, np.diag([1.0, 0.0]))
+    d = np.diag([1.0, np.inf])
+    with pytest.raises(ValueError, match=r"D has non-finite entries at \[\(1, 1\)\]"):
+        lzi.AffineHamiltonian(np.zeros((2, 2)), d)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         lzi.PropagationSpec(t0=1.0, t1=0.0)
