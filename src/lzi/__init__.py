@@ -32,11 +32,10 @@ from .demkov_osherov import (
     DOHamiltonianEntries,
     DOParams,
     SpectralFlow,
-    bow_tie_entries,
     bow_tie_sweep,
     build_do_hamiltonian,
     do_sweep,
-    eigenpair,
+    eigenpairs,
     entries_from_gamma,
     gamma_from_entries,
     spectral_roots,

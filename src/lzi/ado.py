@@ -17,7 +17,9 @@ parallel (bk = gamma_k^2 * b1), the companion operators
 
 commute with each other and with the omega-side operator, the whole family
 is a flat connection in (omega, a_2..a_n), and the system integrates in
-closed form (:func:`closed_form_solution`).
+closed form (:func:`closed_form_solution`).  The resulting
+:class:`EKZSolution` carries the :class:`BVectorSet` it was built from, so its
+residual check reads H_1 and H_k off the same four-vectors.
 
 Conventions fixed here and pinned by tests:
 
@@ -89,8 +91,9 @@ class ADOParams:
             raise ValueError("need at least gamma_0, gamma_1 and one flat level")
         if a.size != gamma.size - 2:
             raise ValueError(f"expected {gamma.size - 2} flat levels, got {a.size}")
-        if gamma[0] ** 2 + gamma[1] ** 2 == 0.0:
-            raise DegenerateSpectralError("gamma_0 = gamma_1 = 0 leaves no sloped coupling")
+        with np.errstate(over="ignore"):  # an overflowing square is rejected by name downstream
+            if gamma[0] ** 2 + gamma[1] ** 2 == 0.0:
+                raise DegenerateSpectralError("gamma_0 = gamma_1 = 0 leaves no sloped coupling")
         require_distinct(a, "flat-level positions a")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "a", a)
@@ -114,8 +117,9 @@ def build_ado_hamiltonian(p: ADOParams, t: float) -> np.ndarray:
     g = p.gamma
     n = p.n
     h = np.zeros((n + 1, n + 1))
-    h[0, 0] = t + g[0] ** 2
-    h[1, 1] = t + g[1] ** 2
+    with np.errstate(over="ignore"):  # AffineHamiltonian names an overflowing entry
+        h[0, 0] = t + g[0] ** 2
+        h[1, 1] = t + g[1] ** 2
     h[0, 1] = h[1, 0] = g[0] * g[1]
     for k in range(2, n + 1):
         h[k, k] = p.a[k - 2]
@@ -326,27 +330,26 @@ class EKZSolution:
                         * prod_j (omega - a_j)^(-i beta_j (1+m))
                         * exp(-i omega beta1 (1+m)) * xi_m
 
-    on the fixed omega + i0 branch.  The m = -1 branch has no power-law
+    on the fixed omega + i0 branch, with beta1, beta_j and the default a
+    taken from the four-vectors b.  The m = -1 branch has no power-law
     factors at all, so its modulus is omega-independent.
     """
 
     m: int
     xi: np.ndarray
-    beta1: float
-    betas: np.ndarray
-    unit_n: np.ndarray
-    a: np.ndarray
+    b: BVectorSet
 
     def scalar(self, omega: float, a=None) -> complex:
-        a = self.a if a is None else np.asarray(a, dtype=float)
+        b = self.b
+        a = b.a if a is None else np.asarray(a, dtype=float)
         one_plus_m = 1 + self.m
-        acc = 1j * omega**2 / 2.0 - 1j * self.beta1 * one_plus_m * omega
+        acc = 1j * omega**2 / 2.0 - 1j * b.beta1 * one_plus_m * omega
         for j in range(a.size):
             if omega == a[j]:
                 raise BranchPointError(f"omega = a_{j + 2} = {a[j]!r}")
-            acc = acc - 1j * self.betas[j] * one_plus_m * _branch_log(omega - a[j])
+            acc = acc - 1j * b.betas[j] * one_plus_m * _branch_log(omega - a[j])
         for i, j in itertools.combinations(range(a.size), 2):
-            acc = acc - 2j * self.betas[i] * self.betas[j] * _branch_log(a[i] - a[j])
+            acc = acc - 2j * b.betas[i] * b.betas[j] * _branch_log(a[i] - a[j])
         return complex(np.exp(acc))
 
     def __call__(self, omega: float, a=None) -> np.ndarray:
@@ -359,49 +362,28 @@ def closed_form_solution(p: ADOParams, m: int) -> EKZSolution:
         raise ValueError(f"branch m must be +1 or -1, got {m}")
     b = b_vectors(p)
     xi_plus, xi_minus = spinor_eigenbasis(b.unit_n)
-    return EKZSolution(
-        m=m,
-        xi=xi_plus if m == +1 else xi_minus,
-        beta1=b.beta1,
-        betas=b.betas,
-        unit_n=b.unit_n,
-        a=b.a,
-    )
+    return EKZSolution(m=m, xi=xi_plus if m == +1 else xi_minus, b=b)
 
 
-def _b_set_from_solution(sol: EKZSolution, a: np.ndarray) -> BVectorSet:
-    # parallel parameterization: time components equal the spatial norms
-    b1 = np.concatenate([[sol.beta1], sol.beta1 * sol.unit_n])
-    bk = np.hstack([sol.betas[:, None], sol.betas[:, None] * sol.unit_n[None, :]])
-    return BVectorSet(
-        b1=b1,
-        bk=bk,
-        beta1=sol.beta1,
-        betas=sol.betas.copy(),
-        unit_n=sol.unit_n.copy(),
-        a=np.asarray(a, dtype=float),
-        parallelism_defect=0.0,
-    )
-
-
-def ekz_residual_check(sol: EKZSolution, omega: float, a=None, h: float = 1e-4):
+def ekz_residual_check(sol: EKZSolution, omega: float, h: float = 1e-4):
     """Central-difference residuals of the defining system at one point.
 
     Returns (r_omega, r_a) where r_omega measures dPhi/domega - i(omega - H_1)Phi
-    and r_a[j] measures dPhi/da_j + i H_j Phi.  Points closer than 10 h to any
-    branch point (or with flat-level gaps below 10 h) are rejected, and so is a
-    step h that is not positive.
+    and r_a[j] measures dPhi/da_j + i H_j Phi, with H_1 and H_j built from the
+    solution's own four-vectors.  Points closer than 10 h to any branch point
+    (or with flat-level gaps below 10 h) are rejected, and so is a step h that
+    is not positive.
     """
     if not h > 0.0:
         raise ValueError(f"residual step h must be positive, got {h!r}")
-    a = sol.a if a is None else np.asarray(a, dtype=float)
+    b = sol.b
+    a = b.a
     if a.size and np.abs(omega - a).min() <= 10.0 * h:
         raise BranchPointError("omega within 10 h of a branch point")
     if a.size >= 2:
         gaps = np.abs(a[:, None] - a[None, :])[~np.eye(a.size, dtype=bool)]
         if gaps.min() <= 10.0 * h:
             raise BranchPointError("flat-level gap within 10 h")
-    b = _b_set_from_solution(sol, a)
     phi = sol(omega, a)
     h1 = ekz_hamiltonian_h1(b, omega)
     d_omega = (sol(omega + h, a) - sol(omega - h, a)) / (2.0 * h)
@@ -465,7 +447,7 @@ def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float
         return weight(om) * sol.scalar(om) * np.exp(1j * om * t)
 
     lo, hi = center - window, center + window
-    interior = [float(x) for x in sol.a if lo < x < hi]
+    interior = [float(x) for x in sol.b.a if lo < x < hi]
     limit = min(int(200 + window * window / 3.0), 50_000)
     re, re_err = quad(lambda om: integrand(om).real, lo, hi,
                       limit=limit, points=interior or None, epsabs=1e-10, epsrel=1e-9)
@@ -483,7 +465,7 @@ def time_domain_wavefunction(sol: EKZSolution, t: float,
     agree within the requested tolerance; QuadratureError otherwise.
     """
     qspec = qspec or QuadratureSpec()
-    center = sol.beta1 * (1 + sol.m) - t
+    center = sol.b.beta1 * (1 + sol.m) - t
     window = qspec.initial_window
     value, quad_err = _windowed_transform(sol, t, center, window, qspec.taper_fraction)
     for _ in range(qspec.max_doublings):

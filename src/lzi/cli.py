@@ -257,8 +257,8 @@ def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
 
 
 def _ekz_samples(p: ado.ADOParams, draws: int, h: float, rng):
-    b = ado.b_vectors(p)
     sols = [ado.closed_form_solution(p, m) for m in (+1, -1)]
+    b = sols[0].b
     for _ in range(draws):
         omega = float(rng.uniform(-2.5, 2.5))
         if p.a.size and np.abs(omega - p.a).min() <= 0.5:

@@ -17,9 +17,10 @@ Eigenvalues are E = gamma_0^2 / (x - eps_0) with x any root of the rational
 secular equation  t = sum_k gamma_k^2 / (x - eps_k); the matching eigenvector
 has components gamma_k / (x - eps_k).  Roots interlace the poles eps_k, with
 one extra exterior root on the sign(t) side that escapes to infinity at t = 0;
-a decoupled level (gamma_k = 0) holds a root frozen exactly at its pole.  The
-flow tracker labels branches by that interlacing order, and the diagonal shift
-that makes raw entries consistent is read from the spectrum of H(0).
+a decoupled level (gamma_k = 0) holds a root frozen exactly at its pole.
+:func:`eigenpairs` builds every branch from one root solve, the flow tracker
+labels branches by that interlacing order, and the diagonal shift that makes
+raw entries consistent is read from the spectrum of H(0).
 
 The bow-tie variant (all diagonal slopes distinct, one common crossing point)
 reuses the same entries with the flat diagonal replaced by (r_i + 1) t.
@@ -43,8 +44,7 @@ __all__ = [
     "entries_from_gamma",
     "gamma_from_entries",
     "spectral_roots",
-    "eigenpair",
-    "bow_tie_entries",
+    "eigenpairs",
     "do_sweep",
     "bow_tie_sweep",
     "track_spectral_flow",
@@ -61,9 +61,10 @@ class DOParams:
     """Solvability coordinates: couplings gamma_0..gamma_n and pairwise
     distinct pole positions epsilon_0..epsilon_n.
 
-    gamma_0 must be non-zero (it carries every coupling).  gamma_k = 0 for
-    k >= 1 is accepted as a degenerate reduction: level k decouples, its pole
-    hosts a frozen root, and reports flag the index via `decoupled_levels`.
+    gamma_0 must be non-zero (it carries every coupling); n = 0 is the sloped
+    level alone.  gamma_k = 0 for k >= 1 is accepted as a degenerate
+    reduction: level k decouples, its pole hosts a frozen root, and reports
+    flag the index via `decoupled_levels`.
     """
 
     gamma: np.ndarray
@@ -72,8 +73,8 @@ class DOParams:
     def __post_init__(self):
         gamma = frozen_float_array(self.gamma, "gamma")
         epsilon = frozen_float_array(self.epsilon, "epsilon")
-        if gamma.shape != epsilon.shape or gamma.size < 2:
-            raise ValueError("gamma and epsilon must have equal length >= 2")
+        if gamma.shape != epsilon.shape or gamma.size < 1:
+            raise ValueError("gamma and epsilon must have equal length >= 1")
         if gamma[0] == 0.0:
             raise DegenerateSpectralError("gamma_0 = 0 decouples the sloped level entirely")
         require_distinct(epsilon, "epsilon")
@@ -94,9 +95,7 @@ class DOHamiltonianEntries:
     """Raw Hamiltonian entries: corner a00, flat diagonal a0[i], couplings v0[i].
 
     Entries produced by :func:`entries_from_gamma` satisfy
-    a00 = sum v0^2 / a0 (see `consistency_defect`); entries produced by
-    :func:`bow_tie_entries` generally do not, and may carry coincident
-    diagonals (degenerate flat levels) -- see `min_diagonal_gap`.
+    a00 = sum v0^2 / a0 (see `consistency_defect`).
     """
 
     a00: float
@@ -121,12 +120,6 @@ class DOHamiltonianEntries:
         if np.any(self.a0 == 0.0):
             return np.inf
         return abs(self.a00 - float(np.sum(self.v0**2 / self.a0)))
-
-    def min_diagonal_gap(self) -> float:
-        if self.n < 2:
-            return np.inf
-        diff = np.abs(self.a0[:, None] - self.a0[None, :])
-        return float(diff[~np.eye(self.n, dtype=bool)].min())
 
 
 def build_do_hamiltonian(entries: DOHamiltonianEntries, t: float) -> np.ndarray:
@@ -174,14 +167,6 @@ def transition_table(entries: DOHamiltonianEntries) -> np.ndarray:
         for j in range(k + 1, entries.n):
             table[level[j], level[k]] = q[k] * np.prod(p[k + 1 : j]) * q[j]
     return table
-
-
-def bow_tie_entries(r, base: DOHamiltonianEntries, t: float) -> DOHamiltonianEntries:
-    """Entries with the flat diagonal replaced by (r_i + 1) t; couplings kept."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != base.a0.shape:
-        raise ValueError(f"expected {base.n} slopes, got shape {r.shape}")
-    return DOHamiltonianEntries(a00=base.a00, a0=(r + 1.0) * t, v0=base.v0)
 
 
 def bow_tie_sweep(r, base: DOHamiltonianEntries) -> AffineHamiltonian:
@@ -278,32 +263,45 @@ def spectral_roots(p: DOParams, t: float) -> np.ndarray:
     return roots
 
 
-def eigenpair(p: DOParams, t: float, branch: int):
-    """(eigenvalue, eigenvector) for one root branch at time t.
+def eigenpairs(p: DOParams, t: float) -> tuple:
+    """(energies, vectors) of every root branch at time t, from one root solve.
 
-    Branches index the ascending-sorted output of :func:`spectral_roots`.
-    The eigenvector components are gamma_k / (x - eps_k); at a root frozen on
-    a decoupled pole (equal to it, as :func:`spectral_roots` returns it) the
-    eigenvector is the bare basis vector of that level, and at the t = 0
-    exterior root (x at infinity) the limit is the coupling vector gamma
-    itself with eigenvalue exactly 0.
+    Branches index the ascending-sorted output of :func:`spectral_roots`;
+    vectors[:, m] is the unit eigenvector of branch m, with components
+    gamma_k / (x - eps_k).  At a root frozen on a decoupled pole (equal to it,
+    as :func:`spectral_roots` returns it) the eigenvector is the bare basis
+    vector of that level, and at the t = 0 exterior root (x at infinity) the
+    limit is the coupling vector gamma itself with eigenvalue exactly 0.  A
+    live root within _POLE_TOL (times the pole scale) of a coupled pole
+    raises DegenerateSpectralError.
     """
     roots = spectral_roots(p, t)
-    x = roots[branch]
     e = p.epsilon
     g = p.gamma
-    if np.isinf(x):
-        vec = g / np.linalg.norm(g)
-        return 0.0, vec
-    frozen = (x == e) & (g == 0.0)
-    if np.any(frozen):
-        return float(g[0] ** 2 / (x - e[0])), frozen.astype(float)
-    collides = (np.abs(x - e) < _POLE_TOL * max(1.0, float(np.abs(e).max()))) & (g != 0.0)
-    if np.any(collides):
-        raise DegenerateSpectralError(f"root collides with coupled pole eps_{int(np.argmax(collides))}")
-    vec = g / (x - e)
-    vec = vec / np.linalg.norm(vec)
-    return float(g[0] ** 2 / (x - e[0])), vec
+    near = _POLE_TOL * max(1.0, float(np.abs(e).max()))
+    vectors = np.empty((roots.size, roots.size))
+    for m, x in enumerate(roots):
+        frozen = (x == e) & (g == 0.0)
+        collides = (np.abs(x - e) < near) & (g != 0.0)
+        if np.isinf(x):
+            vec = g
+        elif np.any(frozen):
+            vec = frozen.astype(float)
+        elif np.any(collides):
+            raise DegenerateSpectralError(f"root collides with coupled pole eps_{int(np.argmax(collides))}")
+        else:
+            vec = g / (x - e)
+        vectors[:, m] = vec / np.linalg.norm(vec)
+    return _energies(p, roots), vectors
+
+
+def _energies(p: DOParams, roots: np.ndarray) -> np.ndarray:
+    """gamma_0^2 / (x - eps_0) for every root, with the t = 0 exterior root
+    (x at infinity) at energy exactly 0."""
+    with np.errstate(divide="ignore"):
+        energies = p.gamma[0] ** 2 / (roots - p.epsilon[0])
+    energies[np.isinf(roots)] = 0.0
+    return energies
 
 
 @dataclass(frozen=True)
@@ -332,11 +330,12 @@ def track_spectral_flow(p: DOParams, t_grid) -> SpectralFlow:
     Rev. 15, 318 (1973)): frozen roots are the decoupled poles, and the live
     roots in ascending order are interval:0 .. interval:m-2 between the m
     coupled poles, plus the exterior root, which is last for t >= 0 and first
-    for t < 0 (it switches sides through +-infinity at t = 0).  NumericalError
-    names the first t at which a decoupled pole is missing from the roots, an
-    interval root leaves its interval, a live root comes within 1e-12 (times
-    the pole scale) of a coupled pole, or the exterior root is not outside the
-    pole hull on the sign(t) side.
+    for t < 0 (it switches sides through +-infinity at t = 0).  The live roots
+    come from one :func:`spectral_roots` solve per grid point over the coupled
+    levels alone.  NumericalError names the first t at which an interval root
+    leaves its interval, a live root comes within 1e-12 (times the pole scale)
+    of a coupled pole, or the exterior root is not outside the pole hull on the
+    sign(t) side.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.diff(t_grid) > 0):
@@ -346,41 +345,28 @@ def track_spectral_flow(p: DOParams, t_grid) -> SpectralFlow:
     frozen_poles = np.sort(p.epsilon[~active])
     scale = max(1.0, float(np.abs(p.epsilon).max()))
 
-    roots = np.array([spectral_roots(p, t) for t in t_grid])
-    # one copy of each frozen pole, at its first place in the sorted roots
-    at = np.minimum((roots[:, :, None] < frozen_poles).sum(axis=1), roots.shape[1] - 1)
-    found = np.all(np.take_along_axis(roots, at, axis=1) == frozen_poles, axis=1)
-    _require(found, t_grid, "miss a decoupled pole")
-    live = np.ones(roots.shape, dtype=bool)
-    np.put_along_axis(live, at, False, axis=1)
-    live = roots[live].reshape(t_grid.size, poles.size)
+    coupled = DOParams(gamma=p.gamma[active], epsilon=p.epsilon[active])
+    live = np.array([spectral_roots(coupled, t) for t in t_grid])
     negative = t_grid < 0.0
     live[negative] = np.roll(live[negative], -1, axis=1)  # exterior last on every row
 
     inside = (live[:, :-1] > poles[:-1]) & (live[:, :-1] < poles[1:])
     clear = np.abs(live[:, :, None] - poles) > 1e-12 * scale
     exterior = np.where(negative, live[:, -1] < poles[0], live[:, -1] > poles[-1])
-    _require(inside.all(axis=1) & clear.all(axis=(1, 2)) & exterior, t_grid,
-             "break interlacing with the coupled poles")
+    ok = inside.all(axis=1) & clear.all(axis=(1, 2)) & exterior
+    if not np.all(ok):
+        t = float(t_grid[np.argmin(ok)])
+        raise NumericalError(f"spectral roots at t={t!r} break interlacing with the coupled poles")
 
     table = np.hstack([live, np.broadcast_to(frozen_poles, (t_grid.size, frozen_poles.size))])
     labels = [f"interval:{i}" for i in range(poles.size - 1)] + ["exterior"]
     labels += ["frozen:%g" % pole for pole in frozen_poles]
     order = np.argsort(table[0], kind="stable")  # columns by ascending root at t_grid[0]
     branches = table[:, order]
-    with np.errstate(divide="ignore"):
-        energies = p.gamma[0] ** 2 / (branches - p.epsilon[0])
-    energies[np.isinf(branches)] = 0.0
     return SpectralFlow(
         t_grid=t_grid.copy(),
         branches=branches,
-        energies=energies,
+        energies=_energies(p, branches),
         labels=tuple(labels[i] for i in order),
         decoupled=p.decoupled_levels,
     )
-
-
-def _require(ok: np.ndarray, t_grid: np.ndarray, failure: str):
-    """Raise NumericalError naming the first grid time where `ok` is False."""
-    if not np.all(ok):
-        raise NumericalError(f"spectral roots at t={float(t_grid[np.argmin(ok)])!r} {failure}")

@@ -396,18 +396,16 @@ def test_spatial_contraction_fails_ode_system():
     # spatial-only variant the pair-product derivative no longer matches
     p = _params(gamma=(0.3, 0.4, 0.5, 0.2), a=(1.0, 2.5))
     sol = lzi.closed_form_solution(p, m=+1)
-    from lzi.ado import _b_set_from_solution, ekz_hamiltonian_hk
-
-    b = _b_set_from_solution(sol, sol.a)
+    b = sol.b
     omega = -1.4
     phi = sol(omega)
     h = 1e-4
-    ap = sol.a.copy()
+    ap = b.a.copy()
     ap[0] += h
-    am = sol.a.copy()
+    am = b.a.copy()
     am[0] -= h
     d_a = (sol(omega, ap) - sol(omega, am)) / (2 * h)
-    hk = ekz_hamiltonian_hk(b, 2, omega)
+    hk = lzi.ekz_hamiltonian_hk(b, 2, omega)
     # the spatial-only product drops b2^0 b3^0 / (a2 - a3) from the scalar part
     hk_spatial = hk - b.bk[0, 0] * b.bk[1, 0] / (b.a[0] - b.a[1]) * np.eye(2)
     good = lzi.max_abs(d_a + 1j * hk @ phi)

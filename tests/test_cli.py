@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lzi
 from lzi import ado, cli, gaudin, spin
+from lzi import demkov_osherov as do
 from lzi.cli import main
 from lzi.errors import NumericalError
 
@@ -43,6 +44,14 @@ def test_spectral_flow_matches_golden_file(tmp_path):
     code = _run(["spectral-flow", "--config", str(DATA / "spectral_flow_n1.json"), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (DATA / "spectral_flow_n1_golden.csv").read_bytes()
+
+
+def test_spectral_flow_with_a_decoupled_level_matches_golden_file(tmp_path):
+    # level 1 decouples inside the coupled hull; the grid runs from t < 0 through t = 0
+    out = tmp_path / "flow.csv"
+    code = _run(["spectral-flow", "--config", str(DATA / "spectral_flow_decoupled.json"), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (DATA / "spectral_flow_decoupled_golden.csv").read_bytes()
 
 
 def test_spectral_flow_deterministic(tmp_path):
@@ -161,18 +170,20 @@ def test_verify_integrals_readme_config_matches_golden_file(tmp_path, break_para
 
 @pytest.fixture
 def op_counts(monkeypatch):
-    """Calls of the operator builders and of spin.commutator, through every lzi
-    module that binds them."""
+    """Calls of the operator builders, of spin.commutator, of the secular-root
+    solve and of the four-vector builders, through every lzi module that binds
+    them."""
     counts = collections.Counter()
     for name, home in (("richardson_integral", gaudin), ("ekz_hamiltonian_hk", ado),
-                       ("commutator", spin)):
+                       ("commutator", spin), ("spectral_roots", do), ("b_vectors", ado),
+                       ("BVectorSet", ado)):
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (spin, gaudin, ado, cli):
+        for module in (spin, gaudin, ado, do, cli):
             if vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
@@ -193,6 +204,22 @@ def test_verify_integrals_builds_each_operator_and_takes_each_commutator_once(tm
     assert op_counts["commutator"] == gaudin_samples * math.comb(sites, 2) + 2 * sum(
         math.comb(n, 2) for n in (2, 3, 4)
     )
+
+
+def test_eigenpairs_and_spectral_flow_solve_the_roots_once_per_time(op_counts):
+    p = lzi.DOParams(gamma=[1.0, 0.0, 0.4, 0.7], epsilon=[0.0, 1.0, 2.0, -1.5])
+    lzi.eigenpairs(p, 0.3)
+    assert op_counts["spectral_roots"] == 1
+    lzi.track_spectral_flow(p, np.linspace(-2.0, 2.0, 9))
+    assert op_counts["spectral_roots"] == 1 + 9
+
+
+def test_verify_ekz_builds_four_vectors_only_for_its_solutions(tmp_path, op_counts):
+    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}, "draws": 10}
+    cfg = _write(tmp_path, "ekz.json", config)
+    assert _run(["verify-ekz", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
+    # one BVectorSet per closed-form branch, each from b_vectors; none per residual check
+    assert op_counts["BVectorSet"] == op_counts["b_vectors"] == 2
 
 
 def test_verify_ekz_builds_each_operator_and_takes_each_commutator_once(tmp_path, monkeypatch, op_counts):
@@ -727,7 +754,12 @@ _CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+@pytest.mark.parametrize("case", [
+    # an overflowing coupling is rejected by name, with no numpy warning on the way
+    pytest.param(case, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+    if case.endswith("gamma-squared-overflows") else case
+    for case in sorted(_CONFIG_ERRORS)
+])
 def test_rejected_config_exits_three_without_traceback(tmp_path, capsys, case):
     command, path, value, base = _CONFIG_ERRORS[case]
     cfg = _write(tmp_path, "bad.json", _mutated(command, path, value, base))

@@ -203,7 +203,7 @@ def test_eigenpair_against_dense_solver_two_levels():
     for t in (-3.0, 0.5, 2.0):
         h = lzi.build_do_hamiltonian(entries, t)
         oracle = np.sort(np.linalg.eigvalsh(h))
-        ours = np.sort([lzi.eigenpair(p, t, m)[0] for m in range(2)])
+        ours = np.sort(lzi.eigenpairs(p, t)[0])
         assert np.allclose(ours, oracle, atol=1e-12)
 
 
@@ -215,26 +215,22 @@ def test_eigenpair_residuals_bulk():
     entries = lzi.entries_from_gamma(p)
     for t in (-10.0, -1.0, 0.1, 1.0, 10.0):
         h = lzi.build_do_hamiltonian(entries, t)
-        for m in range(6):
-            energy, vec = lzi.eigenpair(p, t, m)
-            if not np.all(np.isfinite(vec)):
-                continue
-            assert np.linalg.norm(h @ vec - energy * vec) < 1e-10
+        energies, vecs = lzi.eigenpairs(p, t)
+        assert np.linalg.norm(h @ vecs - vecs * energies, axis=0).max() < 1e-10
 
 
 def test_eigenvectors_orthogonal_across_branches():
     rng = np.random.default_rng(31)
     p = _random_params(rng, 4)
     t = 1.3
-    vecs = [lzi.eigenpair(p, t, m)[1] for m in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert abs(np.dot(vecs[i], vecs[j])) < 1e-10
+    vecs = lzi.eigenpairs(p, t)[1]
+    assert np.abs(vecs.T @ vecs - np.eye(5)).max() < 1e-10
 
 
 def test_exterior_branch_at_zero_time_is_exact_null_vector():
     p = lzi.DOParams(gamma=[1.0, 0.7, 0.4], epsilon=[0.0, 1.0, 2.0])
-    energy, vec = lzi.eigenpair(p, 0.0, 2)
+    energies, vecs = lzi.eigenpairs(p, 0.0)
+    energy, vec = energies[2], vecs[:, 2]
     h = lzi.build_do_hamiltonian(lzi.entries_from_gamma(p), 0.0)
     assert energy == 0.0
     assert np.linalg.norm(h @ vec) < 1e-14
@@ -247,9 +243,16 @@ def test_decoupled_level_hosts_frozen_root():
     roots = lzi.spectral_roots(p, 0.7)
     assert np.any(roots == 1.0)
     branch = int(np.argmax(roots == 1.0))
-    energy, vec = lzi.eigenpair(p, 0.7, branch)
-    assert np.array_equal(vec, [0.0, 1.0, 0.0])
-    assert abs(energy - 1.0) < 1e-15  # gamma_0^2/(eps_1 - eps_0) = 1
+    energies, vecs = lzi.eigenpairs(p, 0.7)
+    assert np.array_equal(vecs[:, branch], [0.0, 1.0, 0.0])
+    assert abs(energies[branch] - 1.0) < 1e-15  # gamma_0^2/(eps_1 - eps_0) = 1
+
+
+def test_eigenpairs_reject_a_root_on_a_coupled_pole(monkeypatch):
+    p = lzi.DOParams(gamma=[1.0, 0.7, 0.4], epsilon=[0.0, 1.0, 2.0])
+    monkeypatch.setattr(do, "spectral_roots", lambda params, t: np.array([-0.5, 1.0 + 1e-12, 1.5]))
+    with pytest.raises(DegenerateSpectralError, match="eps_1"):
+        lzi.eigenpairs(p, 0.7)
 
 
 def test_gamma0_zero_rejected():
@@ -263,29 +266,30 @@ def test_coincident_epsilon_rejected():
 
 
 # ---------------------------------------------------------------------------
-# bow-tie entries
+# bow-tie sweep
 
 
 def test_bow_tie_degenerate_slopes():
     base = lzi.entries_from_gamma(lzi.DOParams(gamma=[1.0, 0.5, 0.7], epsilon=[0.0, 1.0, 2.0]))
-    flat = lzi.bow_tie_entries([-1.0, -1.0], base, t=3.0)
-    assert np.array_equal(flat.a0, [0.0, 0.0])
-    assert flat.min_diagonal_gap() == 0.0
+    sweep = lzi.bow_tie_sweep([-1.0, -1.0], base)
+    # r = -1 leaves both flat levels unsloped at 0: coincident at every time
+    assert np.array_equal(np.diag(sweep(3.0).real)[1:], [0.0, 0.0])
+    assert np.array_equal(np.diag(sweep.d.real)[1:], [0.0, 0.0])
 
 
 def test_bow_tie_common_slope():
     base = lzi.entries_from_gamma(lzi.DOParams(gamma=[1.0, 0.5, 0.7], epsilon=[0.0, 1.0, 2.0]))
-    out = lzi.bow_tie_entries([0.0, 0.0], base, t=2.5)
-    assert np.array_equal(out.a0, [2.5, 2.5])
+    sweep = lzi.bow_tie_sweep([0.0, 0.0], base)
+    assert np.array_equal(np.diag(sweep(2.5).real)[1:], [2.5, 2.5])
 
 
 def test_bow_tie_structural_equality_at_unit_time():
     base = lzi.entries_from_gamma(lzi.DOParams(gamma=[1.0, 0.5, 0.7], epsilon=[0.0, 1.0, 2.0]))
     r = np.array([0.3, -0.4])
-    out = lzi.bow_tie_entries(r, base, t=1.0)
-    assert out.a00 == base.a00
-    assert np.array_equal(out.v0, base.v0)
-    assert np.array_equal(out.a0, r + 1.0)
+    h = lzi.bow_tie_sweep(r, base)(1.0).real
+    assert h[0, 0] == 1.0 + base.a00
+    assert np.array_equal(h[0, 1:], base.v0) and np.array_equal(h[1:, 0], base.v0)
+    assert np.array_equal(np.diag(h)[1:], r + 1.0)
 
 
 def test_bow_tie_sweep_matches_entries():
@@ -293,8 +297,8 @@ def test_bow_tie_sweep_matches_entries():
     r = np.array([0.3, -0.4])
     sweep = lzi.bow_tie_sweep(r, base)
     for t in (-2.0, 0.0, 1.7):
-        expected = lzi.build_do_hamiltonian(lzi.bow_tie_entries(r, base, t), t)
-        assert lzi.max_abs(sweep(t).real - expected) < 1e-14
+        entries = lzi.DOHamiltonianEntries(a00=base.a00, a0=(r + 1.0) * t, v0=base.v0)
+        assert lzi.max_abs(sweep(t).real - lzi.build_do_hamiltonian(entries, t)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +481,18 @@ def test_flow_keeps_labels_where_a_live_root_crosses_a_decoupled_pole():
         assert expected.size == 1 and abs(x - expected[0]) < 1e-12
     exterior = flow.branches[:, 0]
     assert np.all(exterior[grid < 0] < 0.0) and np.all(exterior[grid >= 0] > 2.0)
+
+
+def test_flow_of_a_model_whose_every_flat_level_decouples():
+    # only the sloped level is live: x = eps_0 + gamma_0^2 / t, energy t (0 at t = 0)
+    p = lzi.DOParams(gamma=[1.0, 0.0, 0.0], epsilon=[0.0, 1.0, -2.0])
+    grid = np.array([-1.0, 0.0, 0.5])
+    flow = lzi.track_spectral_flow(p, grid)
+    assert flow.labels == ("frozen:-2", "exterior", "frozen:1")
+    assert flow.decoupled == (1, 2)
+    assert np.array_equal(flow.branches[:, 1], [-1.0, np.inf, 2.0])
+    assert np.array_equal(flow.energies[:, 1], grid)
+    assert np.all(flow.branches[:, [0, 2]] == [-2.0, 1.0])
 
 
 @pytest.mark.parametrize(
