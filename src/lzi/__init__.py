@@ -67,11 +67,9 @@ from .propagator import (
     InteractionPicture,
     PropagationSpec,
     TransitionResult,
-    WaveState,
     evolve_operator,
     interaction_picture,
     population_trajectory,
-    propagate,
     transition_matrix,
 )
 from .spin import (

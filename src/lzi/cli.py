@@ -308,8 +308,7 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
     if engine in ("oracle", "both"):
         psi0 = np.zeros(dim, dtype=complex)
         if engine == "both":
-            xi_plus, _ = ado.spinor_eigenbasis(ado.b_vectors(ado.ADOParams(**cfg["params"])).unit_n)
-            psi0[:2] = xi_plus
+            psi0[:2] = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), +1).xi
         else:
             psi0[init] = 1.0
         frame = propagator.interaction_picture(sweep)

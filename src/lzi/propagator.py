@@ -10,13 +10,15 @@ one exponential per step of X = h/2 (H1 + H2) + i sqrt(3)/12 h^2 C +
 h^3/80 [C, H2 - H1], with C = [H2, H1] and H1, H2 taken at the two Gauss
 nodes.  "cf4-fixed" (commutator-free, two exponentials per step),
 "rk4-fixed" and "magnus2-fixed" remain as reference engines for convergence
-checks.  Every exponential is a Taylor series truncated below roundoff
-(with scaling and squaring for large steps), so each step is unitary to
-roundoff.  A step obeys h <= min(base_step, theta / (1 + rate)) at its left
-end, rate being the diagonal spread in the interaction picture (in the lab
-frame, the largest entry), which resolves the oscillatory far tails of a
-linear sweep without a globally tiny step; the grid inverts the integrated
-step density in a few array passes.
+checks.  Exponentials are Taylor series truncated below roundoff (with scaling
+and squaring for large steps), except on a 2-level block under
+"magnus4-fixed", where exp(i (x0 + xi.sigma)) = exp(i x0) (cos|xi| + i sin|xi|
+xi^.sigma) is taken in closed form and held as the two complex numbers of its
+SU(2) part; each step is unitary to roundoff.  A step obeys h <=
+min(base_step, theta / (1 + rate)) at its left end, rate being the diagonal
+spread in the interaction picture (in the lab frame, the largest entry), which
+resolves the oscillatory far tails of a linear sweep without a globally tiny
+step; the grid inverts the integrated step density in a few array passes.
 The interaction picture evaluates only the coupled pairs of H.
 Every propagation first rotates each group of equal-slope levels that A
 couples to the constant eigenbasis of its A block (for ado, the dark and
@@ -24,12 +26,12 @@ bright states of the sloped pair), then propagates each connected block of
 the rotated couplings on its own grid, a lone level as an exact phase, and
 maps the result back to the caller's frame.  A Demkov-Osherov or bow-tie
 sweep is one block unless a level decouples.
-Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held as
-(d, d, N) stacks: below _MATMUL_LEVELS = 5 levels the stacks are levels first
-and a stacked product is d^3 multiply-adds on length-N rows; from 5 levels up
-they are steps first and matmul multiplies them.  A pairwise reduction then
-multiplies a batch out in log depth, its short last levels by matmul.  This
-is what makes T ~ hundreds affordable.
+Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held (off
+the 2-level Magnus-4 path) as (d, d, N) stacks: below _MATMUL_LEVELS = 5
+levels the stacks are levels first and a stacked product is d^3 multiply-adds
+on length-N rows; from 5 levels up they are steps first and matmul multiplies
+them.  A pairwise reduction then multiplies a batch out in log depth, its
+short last levels by matmul.  This is what makes T ~ hundreds affordable.
 """
 
 from __future__ import annotations
@@ -45,13 +47,11 @@ from .spin import hermiticity_defect, max_abs
 
 __all__ = [
     "PropagationSpec",
-    "WaveState",
     "TransitionResult",
     "AffineHamiltonian",
     "InteractionPicture",
     "interaction_picture",
     "evolve_operator",
-    "propagate",
     "population_trajectory",
     "transition_matrix",
 ]
@@ -62,7 +62,8 @@ _CF4_WEIGHTS = (0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0)
 _BATCH_STEPS = 2048  # steps per batched block: rows stay in cache, per-call overhead stays small
 _MATMUL_LEVELS = 5  # from this many levels up, stacks are held steps first and multiplied by matmul
 # pairwise-product levels of at most this many d^3 products take matmul (~0.3 us per matrix, rows
-# ~1.4 us per d^3 op); crossovers, 2-core Xeon, numpy 2.4: 32-64 at d=2, ~128 at d=3, 256-512 at d=4
+# ~1.4 us per d^3 op); crossovers, 2-core Xeon, numpy 2.4: 32-64 at d=2, ~128 at d=3, 256-512 at d=4.
+# At d=2 only the reference engines reach this product; 2-level Magnus-4 takes SU(2) pairs
 _MATMUL_SHORT = 4
 _CHUNK = 2**17  # time points per budget pass; bounds memory
 _DENSITY_RTOL = 1e-3  # knot spacing: relative midpoint error of the linear density
@@ -100,14 +101,6 @@ class PropagationSpec:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class WaveState:
-    """Amplitude vector tagged with its frame."""
-
-    data: np.ndarray
-    basis: str  # "diabatic" or "interaction"
 
 
 @dataclass(frozen=True)
@@ -426,6 +419,45 @@ def _magnus4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return _expm_i_batch(x)
 
 
+def _su2_mul(a1, b1, a2, b2) -> tuple:
+    """(alpha, beta) of P Q, where an SU(2) matrix is [[alpha, -beta*], [beta, alpha*]]."""
+    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
+
+
+def _su2_magnus4_product(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """The ordered product of a 2-level sweep's `_magnus4_blocks` steps in
+    closed form.  With H = s + v.sigma at each Gauss node, s = (H00 + H11)/2,
+    v = (Re H10, Im H10, (H00 - H11)/2): [H2, H1] = 2i c.sigma for c = v2 x v1,
+    X = x0 + xi.sigma with x0 = hs/2 (s1 + s2) and xi = hs/2 (v1 + v2) -
+    sqrt(3)/6 hs^2 c - hs^3/20 c x (v2 - v1), and exp(i X) = exp(i x0)
+    [[alpha, -beta*], [beta, alpha*]] with alpha = cos r + i sin(r)/r xi_z,
+    beta = i sin(r)/r (xi_x + i xi_y), r = |xi|.  A vector is held as
+    w = v_x + i v_y and z = v_z: (a x b)_w = i (a_z w_b - b_z w_a) and
+    (a x b)_z = Im(w_a* w_b).  The pairs multiply in `_pairwise_product`'s
+    order; the phases x0 add up to one factor (1 in the interaction picture)."""
+    hs = tb - ta
+    h1, h2 = _gauss_stacks(h, ta, hs)
+    x0 = 0.25 * (hs * (h1[0, 0] + h1[1, 1] + h2[0, 0] + h2[1, 1]).real).sum()
+    (w1, z1), (w2, z2) = ((g[1, 0], 0.5 * (g[0, 0] - g[1, 1]).real) for g in (h1, h2))
+    cw, cz = 1j * (z2 * w1 - z1 * w2), (np.conj(w2) * w1).imag
+    dw, dz = w2 - w1, z2 - z1
+    half, sq, cube = 0.5 * hs, _SQRT3 / 6.0 * hs * hs, hs * hs * hs / 20.0
+    xw = half * (w1 + w2) - sq * cw - cube * 1j * (cz * dw - dz * cw)
+    xz = half * (z1 + z2) - sq * cz - cube * (np.conj(cw) * dw).imag
+    r = np.hypot(np.abs(xw), xz)
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
+    a, b = np.cos(r) + 1j * (sinc * xz), 1j * sinc * xw
+    left = (1.0 + 0j, 0j)
+    while a.size > 1:
+        n = a.size
+        if n % 2:
+            left = _su2_mul(*left, a[-1], b[-1])
+        a, b = _su2_mul(a[1::2], b[1::2], a[0 : n - 1 : 2], b[0 : n - 1 : 2])
+    pair = np.array(_su2_mul(*left, a[0], b[0]))
+    alpha, beta = pair / np.linalg.norm(pair)  # a unit pair: rounding leaves the product's norm off 1
+    return np.exp(1j * x0) * np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
+
+
 def _cf4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     hs = tb - ta
     g1, g2 = _CF4_WEIGHTS
@@ -461,11 +493,13 @@ _BLOCKS = {
 
 def _operator_on_grid(h, ts: np.ndarray, method: str) -> np.ndarray:
     dim = h.eval_many(ts[:1]).shape[0]
+    su2 = dim == 2 and method == "magnus4-fixed"
     u = np.eye(dim, dtype=complex)
     n = ts.size - 1
     for lo in range(0, n, _BATCH_STEPS):
         hi = min(lo + _BATCH_STEPS, n)
-        u = _pairwise_product(_BLOCKS[method](h, ts[lo:hi], ts[lo + 1 : hi + 1])) @ u
+        ta, tb = ts[lo:hi], ts[lo + 1 : hi + 1]
+        u = (_su2_magnus4_product(h, ta, tb) if su2 else _pairwise_product(_BLOCKS[method](h, ta, tb))) @ u
     return u
 
 
@@ -557,17 +591,6 @@ def evolve_operator(h, spec: PropagationSpec):
     (NumericalError above rtol), else None."""
     ((u, estimate),) = _segments(h, spec)
     return u, estimate
-
-
-def propagate(h, psi0, spec: PropagationSpec) -> WaveState:
-    """Integrate one state across the window; norm is checked on exit."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    u, _ = evolve_operator(h, spec)
-    psi1 = u @ psi0
-    drift = abs(np.linalg.norm(psi1) - np.linalg.norm(psi0))
-    if drift > 10.0 * spec.rtol * max(1.0, np.linalg.norm(psi0)):
-        raise NumericalError(f"norm drift {drift:.3e} exceeds 10 x rtol")
-    return WaveState(psi1, basis="interaction" if isinstance(h, InteractionPicture) else "diabatic")
 
 
 def population_trajectory(h, psi0, spec: PropagationSpec, sample_times) -> np.ndarray:
