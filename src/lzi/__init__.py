@@ -14,7 +14,6 @@ from .ado import (
     QuadratureSpec,
     ado_sweep,
     b_vectors,
-    build_ado_hamiltonian,
     closed_form_solution,
     coupling_matrix,
     ekz_hamiltonian_h1,
@@ -22,7 +21,6 @@ from .ado import (
     ekz_hk_scalar,
     ekz_residual_check,
     lz_probability,
-    parallelism_defect,
     spinor_eigenbasis,
     survival_from_transform,
     time_domain_wavefunction,
@@ -40,6 +38,7 @@ from .demkov_osherov import (
     gamma_from_entries,
     spectral_roots,
     track_spectral_flow,
+    transition_table,
 )
 from .errors import (
     BranchPointError,
@@ -55,7 +54,6 @@ from .errors import (
 from .gaudin import (
     CommutativityReport,
     SpectralConfig,
-    gaudin_hamiltonian,
     gaudin_integral,
     kz_flatness_residual,
     richardson_derivative,
@@ -68,7 +66,6 @@ from .propagator import (
     PropagationSpec,
     TransitionResult,
     evolve_operator,
-    interaction_picture,
     population_trajectory,
     transition_matrix,
 )
@@ -81,6 +78,7 @@ from .spin import (
     hermiticity_defect,
     max_abs,
     pauli_u2_basis,
+    site_operators,
     spin_generators,
 )
 

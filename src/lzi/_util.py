@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import DegenerateSpectralError
 
+_GAP_FRACTION = 1e-9  # of max|values|: the smallest gap require_distinct accepts
+
 
 def frozen_float_array(values, name: str) -> np.ndarray:
     """1-D float array, validated finite, marked read-only."""
@@ -18,14 +20,14 @@ def frozen_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def require_distinct(values, name: str, gap_fraction: float = 1e-9) -> None:
+def require_distinct(values, name: str) -> None:
     """Reject coincident entries; the gap threshold scales with max|values|."""
     v = np.asarray(values)
     if v.size < 2:
         return
     diff = np.abs(v[:, None] - v[None, :])
     off = diff[~np.eye(v.size, dtype=bool)]
-    threshold = gap_fraction * float(np.abs(v).max())
+    threshold = _GAP_FRACTION * float(np.abs(v).max())
     if float(off.min()) <= threshold:
         raise DegenerateSpectralError(
             f"{name} entries too close: min gap {off.min():.3e} <= {threshold:.3e}"

@@ -52,11 +52,9 @@ __all__ = [
     "EKZSolution",
     "QuadratureSpec",
     "FourierResult",
-    "build_ado_hamiltonian",
     "ado_sweep",
     "coupling_matrix",
     "b_vectors",
-    "parallelism_defect",
     "ekz_hamiltonian_h1",
     "ekz_hamiltonian_hk",
     "ekz_hk_scalar",
@@ -108,32 +106,18 @@ def coupling_matrix(p: ADOParams) -> np.ndarray:
     return np.outer(p.gamma, p.gamma)
 
 
-def build_ado_hamiltonian(p: ADOParams, t: float) -> np.ndarray:
-    """Real symmetric sweep matrix at time t.
-
-    Diagonal: (t + gamma_0^2, t + gamma_1^2, a_2, .., a_n); off-diagonal
-    rank-one couplings in rows 0 and 1, exact zeros among the flat levels.
-    """
-    g = p.gamma
-    n = p.n
-    h = np.zeros((n + 1, n + 1))
-    with np.errstate(over="ignore"):  # AffineHamiltonian names an overflowing entry
-        h[0, 0] = t + g[0] ** 2
-        h[1, 1] = t + g[1] ** 2
-    h[0, 1] = h[1, 0] = g[0] * g[1]
-    for k in range(2, n + 1):
-        h[k, k] = p.a[k - 2]
-        for row in (0, 1):
-            h[row, k] = h[k, row] = g[row] * g[k]
-    return h
-
-
 def ado_sweep(p: ADOParams) -> AffineHamiltonian:
-    """The sweep H(t) = A + t D with the first two levels sloped."""
-    a = build_ado_hamiltonian(p, 0.0)
-    d = np.zeros_like(a)
-    d[0, 0] = d[1, 1] = 1.0
-    return AffineHamiltonian(a, d)
+    """The sweep H(t) = A + t D with the first two levels sloped: A has the
+    diagonal (gamma_0^2, gamma_1^2, a_2, .., a_n), the rank-one couplings in
+    rows and columns 0 and 1 and exact zeros among the flat levels, and
+    D = diag(1, 1, 0, .., 0)."""
+    g = p.gamma
+    a = np.diag(np.concatenate([[0.0, 0.0], p.a]))
+    with np.errstate(over="ignore"):  # AffineHamiltonian names an overflowing entry
+        a[:2] = np.outer(g[:2], g)
+        a[0, 0], a[1, 1] = g[0] ** 2, g[1] ** 2
+    a[2:, :2] = a[:2, 2:].T
+    return AffineHamiltonian(a, np.diag([1.0, 1.0] + [0.0] * p.a.size))
 
 
 @dataclass(frozen=True)
@@ -204,25 +188,6 @@ def b_vectors(p: ADOParams, v: np.ndarray | None = None) -> BVectorSet:
         a=p.a.copy(),
         parallelism_defect=defect,
     )
-
-
-def parallelism_defect(v: np.ndarray) -> float:
-    """Distance of a symmetric coupling table from the nearest rank-one fit.
-
-    Fits lambda u u^T through the dominant eigenpair and returns the max-abs
-    entry of the residual; exactly rank-one tables give ~1e-16.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError(f"expected a square table, got {v.shape}")
-    if max_abs(v - v.T) > 1e-12:
-        raise ValueError("coupling table must be symmetric")
-    w, vecs = np.linalg.eigh(v)
-    lam = w[-1]
-    if lam <= 0.0:
-        return max_abs(v)
-    u = vecs[:, -1]
-    return max_abs(v - lam * np.outer(u, u))
 
 
 def _contract(b4: np.ndarray) -> np.ndarray:
@@ -400,24 +365,22 @@ def ekz_residual_check(sol: EKZSolution, omega: float, h: float = 1e-4):
     return float(r_omega), r_a
 
 
+_MAX_DOUBLINGS = 6  # window doublings before the transform gives up
+_TAPER_FRACTION = 0.1  # outer fraction of the window over which the weight falls to 0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Window-doubling control for the oscillatory Fourier transform."""
 
     tolerance: float = 1e-4
     initial_window: float = 32.0
-    max_doublings: int = 6
-    taper_fraction: float = 0.1
 
     def __post_init__(self):
         for name in ("tolerance", "initial_window"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_doublings < 1:
-            raise ValueError("need at least one window doubling to verify convergence")
-        if not 0.0 < self.taper_fraction < 0.5:
-            raise ValueError("taper_fraction must sit in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -427,13 +390,12 @@ class FourierResult:
     amplitudes: np.ndarray
     error_estimate: float
     window: float
-    center: float
 
 
-def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float, taper: float):
+def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float):
     from scipy.integrate import quad  # on first use: it costs more than the rest of `import lzi`
 
-    flat = 1.0 - taper
+    flat = 1.0 - _TAPER_FRACTION
 
     def weight(om: float) -> float:
         x = abs(om - center) / window
@@ -441,7 +403,7 @@ def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float
             return 1.0
         if x >= 1.0:
             return 0.0
-        return 0.5 * (1.0 + np.cos(np.pi * (x - flat) / taper))
+        return 0.5 * (1.0 + np.cos(np.pi * (x - flat) / _TAPER_FRACTION))
 
     def integrand(om: float) -> complex:
         return weight(om) * sol.scalar(om) * np.exp(1j * om * t)
@@ -467,17 +429,16 @@ def time_domain_wavefunction(sol: EKZSolution, t: float,
     qspec = qspec or QuadratureSpec()
     center = sol.b.beta1 * (1 + sol.m) - t
     window = qspec.initial_window
-    value, quad_err = _windowed_transform(sol, t, center, window, qspec.taper_fraction)
-    for _ in range(qspec.max_doublings):
+    value, quad_err = _windowed_transform(sol, t, center, window)
+    for _ in range(_MAX_DOUBLINGS):
         window2 = 2.0 * window
-        value2, quad_err2 = _windowed_transform(sol, t, center, window2, qspec.taper_fraction)
+        value2, quad_err2 = _windowed_transform(sol, t, center, window2)
         delta = abs(value2 - value)
         if delta <= qspec.tolerance * max(1.0, abs(value2)):
             return FourierResult(
                 amplitudes=value2 * sol.xi,
                 error_estimate=delta + quad_err2,
                 window=window2,
-                center=center,
             )
         value, quad_err, window = value2, quad_err2, window2
     raise QuadratureError(

@@ -311,7 +311,7 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
             psi0[:2] = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), +1).xi
         else:
             psi0[init] = 1.0
-        frame = propagator.interaction_picture(sweep)
+        frame = propagator.InteractionPicture(sweep)
         traj = propagator.population_trajectory(
             frame, frame.to_interaction(psi0, grid[0]), spec, grid
         )

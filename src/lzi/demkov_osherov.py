@@ -54,6 +54,8 @@ __all__ = [
 #: a root closer than this (relative to the pole scale) to a coupled pole has
 #: no closed-form eigenvector
 _POLE_TOL = 1e-9
+#: the largest diagonal shift gamma_from_entries accepts
+_MAX_SHIFT = 1e6
 
 
 @dataclass(frozen=True)
@@ -193,9 +195,7 @@ def entries_from_gamma(p: DOParams) -> DOHamiltonianEntries:
     return DOHamiltonianEntries(a00=a00, a0=a0, v0=v0)
 
 
-def gamma_from_entries(
-    entries: DOHamiltonianEntries, shift_search: tuple = (-1e6, 1e6)
-) -> tuple:
+def gamma_from_entries(entries: DOHamiltonianEntries) -> tuple:
     """Invert :func:`entries_from_gamma` up to gauge, returning (params, shift).
 
     A constant `shift` is added to the whole diagonal so the consistency
@@ -203,17 +203,16 @@ def gamma_from_entries(
     the gauge eps_0 = 0, gamma_0 = 1 (a one-parameter rescaling gauge makes
     gamma_0 a free choice; the Hamiltonian is unchanged).  The relation is
     det(A + shift I) = 0 for the t = 0 arrowhead A, so the candidate shifts
-    are minus its eigenvalues, all real; the one of smallest magnitude inside
-    `shift_search` is selected and refined by one Newton step on the relation.
+    are minus its eigenvalues, all real; the one of smallest magnitude, at
+    most _MAX_SHIFT, is selected and refined by one Newton step on the relation.
     """
     if np.any(entries.v0 == 0.0):
         raise DegenerateSpectralError("zero coupling: the inverse map needs v0_i != 0")
     shifts = -np.linalg.eigvalsh(build_do_hamiltonian(entries, 0.0))[::-1]
-    lo, hi = min(shift_search), max(shift_search)
-    usable = (shifts >= lo) & (shifts <= hi) & np.all(entries.a0 + shifts[:, None] != 0.0, axis=1)
+    usable = (np.abs(shifts) <= _MAX_SHIFT) & np.all(entries.a0 + shifts[:, None] != 0.0, axis=1)
     if not np.any(usable):
         raise NoRealShiftError(
-            f"no real diagonal shift in [{lo:g}, {hi:g}] makes the entries consistent"
+            f"no real diagonal shift in [{-_MAX_SHIFT:g}, {_MAX_SHIFT:g}] makes the entries consistent"
         )
     shift = float(min(shifts[usable], key=abs))
     # the relation's slope 1 + sum v0^2 / (a0 + a)^2 reaches ~1e3 when a shifted flat level
@@ -320,7 +319,6 @@ class SpectralFlow:
     branches: np.ndarray
     energies: np.ndarray
     labels: tuple
-    decoupled: tuple
 
 
 def track_spectral_flow(p: DOParams, t_grid) -> SpectralFlow:
@@ -368,5 +366,4 @@ def track_spectral_flow(p: DOParams, t_grid) -> SpectralFlow:
         branches=branches,
         energies=_energies(p, branches),
         labels=tuple(labels[i] for i in order),
-        decoupled=p.decoupled_levels,
     )

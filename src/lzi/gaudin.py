@@ -32,7 +32,6 @@ __all__ = [
     "gaudin_integral",
     "richardson_integral",
     "richardson_derivative",
-    "gaudin_hamiltonian",
     "verify_commuting",
     "kz_flatness_residual",
 ]
@@ -128,19 +127,12 @@ def richardson_derivative(
     return site_operators(system)[1][site, wrt] / (w[site] - w[wrt]) ** 2
 
 
-def gaudin_hamiltonian(cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
-    """2 * sum_l w_l G_l; commutes with every G_l."""
-    return sum(2.0 * w_l * gaudin_integral(l, cfg, system) for l, w_l in enumerate(_weights(cfg)))
-
-
 @dataclass(frozen=True)
 class CommutativityReport:
     """Worst pairwise commutator defect of a family of operators."""
 
-    n_operators: int
     max_defect: float
     worst_pair: tuple
-    tolerance: float
     passed: bool
 
 
@@ -157,10 +149,8 @@ def verify_commuting(ops, tol: float = 1e-12) -> CommutativityReport:
         if defect > worst:
             worst, worst_pair = defect, (i, j)
     return CommutativityReport(
-        n_operators=len(ops),
         max_defect=worst,
         worst_pair=worst_pair,
-        tolerance=float(tol),
         passed=worst < tol,
     )
 

@@ -216,7 +216,7 @@ def test_criterion_7_oracle_self_checks():
 
     tight = lzi.PropagationSpec(t0=-6.0, t1=6.0, rtol=1e-10, base_step=0.002, theta=0.02)
     u_lab, _ = lzi.evolve_operator(sweep, tight)
-    u_rot, _ = lzi.evolve_operator(lzi.interaction_picture(sweep), tight)
+    u_rot, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), tight)
     gauge = float(np.abs(np.abs(u_lab) ** 2 - np.abs(u_rot) ** 2).max())
 
     orders_ok = True

@@ -20,13 +20,13 @@ def _params(gamma=(0.3, 0.4, 0.5), a=(0.0,)):
 
 def test_hamiltonian_reference_layout():
     p = _params(gamma=(1.0, 1.0, 1.0), a=(0.0,))
-    h = lzi.build_ado_hamiltonian(p, t=0.0)
+    h = lzi.ado_sweep(p)(0.0)
     assert np.array_equal(h, [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
 
 
 def test_hamiltonian_flat_block_is_exactly_zero():
     p = _params(gamma=(0.4, 0.6, 0.3, 0.2, 0.5), a=(-1.0, 0.0, 1.0))
-    h = lzi.build_ado_hamiltonian(p, t=0.7)
+    h = lzi.ado_sweep(p)(0.7)
     for i in range(2, 5):
         for j in range(2, 5):
             if i != j:
@@ -38,7 +38,10 @@ def test_sweep_slopes():
     p = _params()
     sweep = lzi.ado_sweep(p)
     assert np.array_equal(np.diag(sweep.d).real, [1.0, 1.0, 0.0])
-    assert lzi.max_abs(sweep(1.3).real - lzi.build_ado_hamiltonian(p, 1.3)) < 1e-15
+    expected = np.outer(p.gamma, p.gamma)
+    expected[2:, 2:] = np.diag(p.a)
+    expected[[0, 1], [0, 1]] += 1.3
+    assert lzi.max_abs(sweep(1.3) - expected) < 1e-15
 
 
 def test_b_vectors_uniform_couplings():
@@ -84,22 +87,6 @@ def test_rank_one_matrices_are_singular():
     for row in b.bk:
         mat = sum(row[mu] * basis[mu] for mu in range(4))
         assert abs(np.linalg.det(mat)) < 1e-14
-
-
-def test_parallelism_defect_rank_one():
-    g = np.array([1.0, 1.0, 1.0])
-    assert lzi.parallelism_defect(np.outer(g, g)) < 1e-14
-
-
-def test_parallelism_defect_perturbed():
-    g = np.array([1.0, 1.0, 1.0])
-    v = np.outer(g, g)
-    v[0, 1] += 0.1
-    v[1, 0] += 0.1
-    # oracle (dominant-eigenpair fit, computed independently): 0.05519...
-    defect = lzi.parallelism_defect(v)
-    assert defect >= 0.05
-    assert abs(defect - 0.0551960770159) < 1e-9
 
 
 def test_b_vector_override_reports_defect():
@@ -440,14 +427,13 @@ def test_trivial_branch_modulus_constant_in_time():
     assert max(mods) / min(mods) - 1.0 < 1e-3
 
 
-def test_window_doubling_convergence_flag():
+def test_window_doubling_convergence_flag(monkeypatch):
     sol = lzi.closed_form_solution(_params(), m=+1)
     res = lzi.time_domain_wavefunction(sol, 4.0, lzi.QuadratureSpec(tolerance=1e-4))
     assert res.window > lzi.QuadratureSpec().initial_window  # at least one doubling
+    monkeypatch.setattr(lzi.ado, "_MAX_DOUBLINGS", 1)
     with pytest.raises(QuadratureError):
-        lzi.time_domain_wavefunction(
-            sol, 4.0, lzi.QuadratureSpec(tolerance=1e-14, max_doublings=1)
-        )
+        lzi.time_domain_wavefunction(sol, 4.0, lzi.QuadratureSpec(tolerance=1e-14))
 
 
 def test_survival_trivial_branch_is_unity():
@@ -475,7 +461,7 @@ def test_two_flat_levels_survival_three_way():
     xi_plus, _ = lzi.spinor_eigenbasis(b.unit_n)
     psi0 = np.zeros(4, dtype=complex)
     psi0[:2] = xi_plus
-    frame = lzi.interaction_picture(lzi.ado_sweep(p))
+    frame = lzi.InteractionPicture(lzi.ado_sweep(p))
     spec = lzi.PropagationSpec(t0=-40.0, t1=40.0, theta=0.25, verify=False)
     u, _ = lzi.evolve_operator(frame, spec)
     pops = np.abs(u @ frame.to_interaction(psi0, -40.0)) ** 2

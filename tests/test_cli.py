@@ -702,7 +702,6 @@ _CONFIG_ERRORS = {
     "ekz-draws-huge": ("verify-ekz", ("draws",), 1e400, None),
     "vi-sites-float": ("verify-integrals", ("gaudin", "sites"), 3.0, None),
     "vi-n-values-float": ("verify-integrals", ("ado", "n_values"), [2.5], None),
-    "cf-max-doublings-float": ("closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME),
     "flow-seed-float": ("spectral-flow", ("seed",), 1.5, None),
     # verifications that would check no point
     "ekz-no-draws": ("verify-ekz", ("draws",), 0, None),
@@ -715,6 +714,7 @@ _CONFIG_ERRORS = {
     # keys no command declares, and values of the wrong JSON type
     "tm-propagation-thetta": ("transition-matrix", ("propagation", "thetta"), 0.25, None),
     "vi-gaudin-k": ("verify-integrals", ("gaudin", "k"), 1, None),
+    "cf-max-doublings-float": ("closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME),
     "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None),
     "tm-schema-version-true": ("transition-matrix", ("schema_version",), True, None),
     "flow-model-x": ("spectral-flow", ("model",), "x", None),
@@ -767,6 +767,14 @@ def test_rejected_config_exits_three_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("max_doublings", 6), ("taper_fraction", 0.1)])
+def test_retired_quadrature_keys_exit_three_naming_the_key(tmp_path, capsys, key, value):
+    # the doubling count and the taper are fixed by the library, even at their old defaults
+    cfg = _write(tmp_path, "bad.json", _mutated("closed-form", ("quadrature", key), value, _CF_TIME))
+    assert _run(["closed-form", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: unknown key 'quadrature.{key}'")
 
 
 @pytest.mark.parametrize("literal", ["-Infinity", "1e400"])
