@@ -13,12 +13,14 @@ from .ado import (
     FourierResult,
     QuadratureSpec,
     ado_sweep,
+    b_vector_stack,
     b_vectors,
     closed_form_solution,
     coupling_matrix,
     ekz_hamiltonian_h1,
     ekz_hamiltonian_hk,
     ekz_hk_scalar,
+    ekz_operators,
     ekz_residual_check,
     lz_probability,
     spinor_eigenbasis,
@@ -58,6 +60,7 @@ from .gaudin import (
     kz_flatness_residual,
     richardson_derivative,
     richardson_integral,
+    richardson_integrals,
     verify_commuting,
 )
 from .propagator import (

@@ -55,6 +55,8 @@ __all__ = [
     "ado_sweep",
     "coupling_matrix",
     "b_vectors",
+    "b_vector_stack",
+    "ekz_operators",
     "ekz_hamiltonian_h1",
     "ekz_hamiltonian_hk",
     "ekz_hk_scalar",
@@ -129,6 +131,10 @@ class BVectorSet:
     parts; unit_n is the common spatial direction in the parallel case (taken
     from the largest spatial part otherwise), and `parallelism_defect` is the
     worst unit-cross-product norm over vector pairs (0 iff all parallel).
+
+    A set from :func:`b_vector_stack` holds several models at once: each field
+    then carries a leading axis over the models (beta1 and parallelism_defect
+    become arrays).
     """
 
     b1: np.ndarray
@@ -141,11 +147,60 @@ class BVectorSet:
 
     @property
     def n_classical(self) -> int:
-        return self.bk.shape[0]
+        return self.bk.shape[-2]
 
 
-def _four_vector_pair(v00: float, v11: float, v01: float) -> np.ndarray:
-    return np.array([(v00 + v11) / 2.0, v01, 0.0, (v00 - v11) / 2.0])
+def _four_vector_pair(v00, v11, v01) -> np.ndarray:
+    return np.stack([(v00 + v11) / 2.0, v01, np.zeros_like(v01), (v00 - v11) / 2.0], axis=-1)
+
+
+def _scalar_squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 entry by entry as a numpy scalar power, which can round
+    differently from an array's x * x; the four-vectors are defined with it."""
+    return np.array([t**2 for t in x.flat]).reshape(x.shape)
+
+
+def b_vector_stack(params, v) -> BVectorSet:
+    """The four-vectors of several models of one level count n + 1 at once:
+    v[s] is the symmetric (n + 1) x (n + 1) coupling table of params[s], of
+    which only rows 0 and 1 are used.  Entry s of every field equals
+    b_vectors(params[s], v[s]); any loss of parallelism is reported, not
+    raised.
+    """
+    n = params[0].n
+    v = np.asarray(v, dtype=float)
+    if any(p.n != n for p in params) or v.shape != (len(params), n + 1, n + 1):
+        raise ValueError(f"need one {(n + 1, n + 1)} coupling table per model, got {v.shape}")
+    if np.any(np.abs(v - v.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12):
+        raise ValueError("coupling table must be symmetric")
+    return _four_vectors(params, v)
+
+
+def _four_vectors(params, v: np.ndarray) -> BVectorSet:
+    b1 = _four_vector_pair(v[:, 0, 0], v[:, 1, 1], v[:, 0, 1])
+    v0, v1 = v[:, 0, 2:], v[:, 1, 2:]
+    bk = _four_vector_pair(_scalar_squares(v0), _scalar_squares(v1), v0 * v1)
+    spatial = np.concatenate([b1[:, None, 1:], bk[:, :, 1:]], axis=1)
+    norms = np.linalg.norm(spatial, axis=-1)
+    nonzero = norms > 0.0
+    if not np.all(np.any(nonzero, axis=1)):
+        raise DegenerateSpectralError("all spatial parts vanish; no direction defined")
+    rows = np.arange(len(params))
+    unit_n = spatial[rows, np.argmax(norms, axis=1)] / norms.max(axis=1)[:, None]
+    # a vanishing spatial part has no direction: its unit row stays 0 and adds no defect
+    units = np.divide(spatial, norms[..., None], out=np.zeros_like(spatial),
+                      where=nonzero[..., None])
+    i, j = np.triu_indices(spatial.shape[1], 1)
+    defect = np.linalg.norm(np.cross(units[:, i], units[:, j]), axis=-1).max(axis=-1, initial=0.0)
+    return BVectorSet(
+        b1=b1,
+        bk=bk,
+        beta1=norms[:, 0],
+        betas=norms[:, 1:],
+        unit_n=unit_n,
+        a=np.array([p.a for p in params]),
+        parallelism_defect=defect,
+    )
 
 
 def b_vectors(p: ADOParams, v: np.ndarray | None = None) -> BVectorSet:
@@ -157,67 +212,84 @@ def b_vectors(p: ADOParams, v: np.ndarray | None = None) -> BVectorSet:
     coupling table `v` may override the defaults; only rows 0 and 1 are used,
     and any loss of parallelism is reported, not raised.
     """
-    n = p.n
     if v is None:
-        v = coupling_matrix(p)
+        stack = _four_vectors([p], coupling_matrix(p)[None])
     else:
         v = np.asarray(v, dtype=float)
-        if v.shape != (n + 1, n + 1):
-            raise ValueError(f"coupling table must be {(n + 1, n + 1)}, got {v.shape}")
-        if max_abs(v - v.T) > 1e-12:
-            raise ValueError("coupling table must be symmetric")
-    b1 = _four_vector_pair(v[0, 0], v[1, 1], v[0, 1])
-    bk = np.zeros((n - 1, 4))
-    for j, k in enumerate(range(2, n + 1)):
-        bk[j] = _four_vector_pair(v[0, k] ** 2, v[1, k] ** 2, v[0, k] * v[1, k])
-    spatial = np.vstack([b1[1:], bk[:, 1:]])
-    norms = np.linalg.norm(spatial, axis=1)
-    nonzero = norms > 0.0
-    if not np.any(nonzero):
-        raise DegenerateSpectralError("all spatial parts vanish; no direction defined")
-    unit_n = spatial[np.argmax(norms)] / norms.max()
-    units = spatial[nonzero] / norms[nonzero, None]
-    i, j = np.triu_indices(units.shape[0], 1)
-    defect = float(np.linalg.norm(np.cross(units[i], units[j]), axis=1).max(initial=0.0))
+        if v.shape != (p.n + 1, p.n + 1):
+            raise ValueError(f"coupling table must be {(p.n + 1, p.n + 1)}, got {v.shape}")
+        stack = b_vector_stack([p], v[None])
     return BVectorSet(
-        b1=b1,
-        bk=bk,
-        beta1=float(norms[0]),
-        betas=norms[1:].copy(),
-        unit_n=unit_n,
-        a=p.a.copy(),
-        parallelism_defect=defect,
+        b1=stack.b1[0],
+        bk=stack.bk[0],
+        beta1=float(stack.beta1[0]),
+        betas=stack.betas[0],
+        unit_n=stack.unit_n[0],
+        a=stack.a[0],
+        parallelism_defect=float(stack.parallelism_defect[0]),
     )
 
 
 def _contract(b4: np.ndarray) -> np.ndarray:
-    """b^mu S^mu as a 2 x 2 matrix (identity plus Pauli components)."""
-    return sum(b4[mu] * _PAULI[mu] for mu in range(4))
+    """b^mu S^mu as 2 x 2 matrices (identity plus Pauli components), one per
+    four-vector along the last axis of `b4`."""
+    b4 = b4[..., None, None]
+    return sum(b4[..., mu, :, :] * _PAULI[mu] for mu in range(4))
 
 
-def _check_pole(b: BVectorSet, omega: float) -> None:
-    if b.a.size and np.any(omega == b.a):
-        raise DegenerateSpectralError(f"omega = {omega!r} sits on a flat-level pole")
+def _check_pole(b: BVectorSet, omega: np.ndarray) -> None:
+    on_pole = np.any(omega[..., None] == b.a, axis=-1)
+    if np.any(on_pole):
+        value = float(np.broadcast_to(omega, on_pole.shape)[on_pole][0])
+        raise DegenerateSpectralError(f"omega = {value!r} sits on a flat-level pole")
+
+
+def _hk_scalars(b: BVectorSet) -> np.ndarray:
+    """Classical-classical parts of every H_k: the sum of b_k.b_k' / (a_k - a_k')
+    over every k' != k, added in k' order."""
+    # a row @ column product is np.dot's sum, so each pair's dot rounds as np.dot does
+    dots = (b.bk[..., :, None, None, :] @ b.bk[..., None, :, :, None])[..., 0, 0]
+    out = np.zeros(b.a.shape)
+    for j in range(b.n_classical):
+        for jp in range(b.n_classical):
+            if jp != j:
+                out[..., j] += dots[..., j, jp] / (b.a[..., j] - b.a[..., jp])
+    return out
+
+
+def ekz_operators(b: BVectorSet, omega) -> np.ndarray:
+    """H_1 and the companion operators H_2..H_n at omega, as one stack: [0] is
+    H_1 = b1.S + sum_k bk.S / (omega - a_k) and [k - 1] is
+
+        H_k = sum_{k' != k} b_k.b_k' / (a_k - a_k') * identity + bk.S / (a_k - omega).
+
+    `b` may be one set or a stack from :func:`b_vector_stack`, and omega one
+    value or an array that broadcasts against the stack; the stack has shape
+    (n, *batch, 2, 2), every operator built with the one-point arithmetic.
+    """
+    omega = np.asarray(omega, dtype=float)
+    _check_pole(b, omega)
+    contracted = _contract(b.bk)
+    scalars = _hk_scalars(b)
+    h1 = _contract(b.b1)
+    hk = []
+    for j in range(b.n_classical):
+        weight = contracted[..., j, :, :]
+        h1 = h1 + weight / (omega - b.a[..., j])[..., None, None]
+        hk.append(scalars[..., j, None, None] * _PAULI[0]
+                  + weight / (b.a[..., j] - omega)[..., None, None])
+    return np.stack(np.broadcast_arrays(h1, *hk))
 
 
 def ekz_hamiltonian_h1(b: BVectorSet, omega: float) -> np.ndarray:
     """The omega-side 2 x 2 operator: b1.S + sum_k bk.S / (omega - a_k)."""
-    _check_pole(b, omega)
-    out = _contract(b.b1)
-    for j in range(b.n_classical):
-        out = out + _contract(b.bk[j]) / (omega - b.a[j])
-    return out
+    return ekz_operators(b, omega)[0]
 
 
 def ekz_hk_scalar(b: BVectorSet, k: int) -> float:
     """Classical-classical part of H_k (labels k = 2..n): the sum of
     b_k.b_k' / (a_k - a_k') over every k' != k."""
-    j = _classical_index(b, k)
-    out = 0.0
-    for jp in range(b.n_classical):
-        if jp != j:
-            out += float(np.dot(b.bk[j], b.bk[jp])) / (b.a[j] - b.a[jp])
-    return out
+    return float(_hk_scalars(b)[_classical_index(b, k)])
 
 
 def _classical_index(b: BVectorSet, k: int) -> int:
@@ -231,9 +303,7 @@ def ekz_hamiltonian_hk(b: BVectorSet, k: int, omega: float) -> np.ndarray:
 
     scalar part * identity + bk.S / (a_k - omega).
     """
-    _check_pole(b, omega)
-    j = _classical_index(b, k)
-    return ekz_hk_scalar(b, k) * np.eye(2, dtype=complex) + _contract(b.bk[j]) / (b.a[j] - omega)
+    return ekz_operators(b, omega)[_classical_index(b, k) + 1]
 
 
 def zero_curvature_residual(b: BVectorSet, i: int, j: int, omega: float) -> float:
@@ -253,8 +323,8 @@ def zero_curvature_residual(b: BVectorSet, i: int, j: int, omega: float) -> floa
         raise IndexError(f"labels must lie in {sorted(labels)}, got ({i}, {j})")
     if i != 0 and j == 0:
         i, j = j, i  # residual is symmetric up to sign; normalize order
-    h_i = ekz_hamiltonian_h1(b, omega) if i == 0 else ekz_hamiltonian_hk(b, i, omega)
-    return max_abs(commutator(h_i, ekz_hamiltonian_hk(b, j, omega)))
+    ops = ekz_operators(b, omega)
+    return max_abs(commutator(ops[0 if i == 0 else i - 1], ops[j - 1]))
 
 
 def spinor_eigenbasis(unit_n) -> tuple:
@@ -330,14 +400,15 @@ def closed_form_solution(p: ADOParams, m: int) -> EKZSolution:
     return EKZSolution(m=m, xi=xi_plus if m == +1 else xi_minus, b=b)
 
 
-def ekz_residual_check(sol: EKZSolution, omega: float, h: float = 1e-4):
+def ekz_residual_check(sol: EKZSolution, omega: float, h: float = 1e-4, ops=None):
     """Central-difference residuals of the defining system at one point.
 
     Returns (r_omega, r_a) where r_omega measures dPhi/domega - i(omega - H_1)Phi
     and r_a[j] measures dPhi/da_j + i H_j Phi, with H_1 and H_j built from the
-    solution's own four-vectors.  Points closer than 10 h to any branch point
-    (or with flat-level gaps below 10 h) are rejected, and so is a step h that
-    is not positive.
+    solution's own four-vectors, or taken from `ops`, the stack
+    ekz_operators(sol.b, omega) when the caller has already built it.  Points
+    closer than 10 h to any branch point (or with flat-level gaps below 10 h)
+    are rejected, and so is a step h that is not positive.
     """
     if not h > 0.0:
         raise ValueError(f"residual step h must be positive, got {h!r}")
@@ -349,10 +420,11 @@ def ekz_residual_check(sol: EKZSolution, omega: float, h: float = 1e-4):
         gaps = np.abs(a[:, None] - a[None, :])[~np.eye(a.size, dtype=bool)]
         if gaps.min() <= 10.0 * h:
             raise BranchPointError("flat-level gap within 10 h")
+    if ops is None:
+        ops = ekz_operators(b, omega)
     phi = sol(omega, a)
-    h1 = ekz_hamiltonian_h1(b, omega)
     d_omega = (sol(omega + h, a) - sol(omega - h, a)) / (2.0 * h)
-    r_omega = max_abs(d_omega - 1j * (omega * phi - h1 @ phi))
+    r_omega = max_abs(d_omega - 1j * (omega * phi - ops[0] @ phi))
     r_a = np.empty(a.size)
     for j in range(a.size):
         ap = a.copy()
@@ -360,8 +432,7 @@ def ekz_residual_check(sol: EKZSolution, omega: float, h: float = 1e-4):
         am = a.copy()
         am[j] -= h
         d_a = (sol(omega, ap) - sol(omega, am)) / (2.0 * h)
-        hk = ekz_hamiltonian_hk(b, j + 2, omega)
-        r_a[j] = max_abs(d_a + 1j * (hk @ phi))
+        r_a[j] = max_abs(d_a + 1j * (ops[j + 1] @ phi))
     return float(r_omega), r_a
 
 

@@ -165,24 +165,26 @@ def _max_workers() -> int:
 COMM, CURV, ODE = "max_commutator_defect", "max_curvature_residual", "max_ode_residual"
 
 
-def _verdict(samples, tols: dict, override: float | None, suite: str) -> dict:
-    """Each defect's largest value over the sampled points (a sample lists each
-    defect's values at one point), and a pass flag that needs every defect below
-    its tolerance (or below --tolerance, which overrides them all).  No point
-    sampled is a config error, a defect that is not finite a numerical error."""
+def _verdict(defects: dict, tols: dict, override: float | None, suite: str) -> dict:
+    """Each defect's largest value over the sampled points (defects[key][k]
+    holds its values at point k, in draw order), and a pass flag that needs
+    every defect below its tolerance (or below --tolerance, which overrides
+    them all).  No point sampled is a config error, a defect that is not
+    finite a numerical error naming the first point where it is."""
     if override is not None:
         tols = dict.fromkeys(tols, override)
-    defects = dict.fromkeys(tols, 0.0)
-    points = 0
-    for points, sample in enumerate(samples, 1):
-        for key, values in sample.items():
-            value = float(np.max(values))  # keeps a NaN, which max() can drop
-            if not np.isfinite(value):
-                raise NumericalError(f"{suite}: {key} is {value} at sample {points}")
-            defects[key] = max(defects[key], value)
-    if points == 0:
+    # each point's largest value; np.max keeps a NaN, which max() can drop
+    worst = {key: np.max(values, axis=tuple(range(1, np.ndim(values))))
+             for key, values in defects.items()}
+    finite = np.isfinite(np.array(list(worst.values())))
+    if not finite.all():
+        point = np.flatnonzero(~finite.all(axis=0))[0]
+        key = next(key for key, row in zip(worst, finite) if not row[point])
+        raise NumericalError(f"{suite}: {key} is {float(worst[key][point])} at sample {point + 1}")
+    if finite.shape[1] == 0:
         raise ConfigError(f"{suite} checked no point")
-    return dict(defects, **{"pass": all(defects[k] < tols[k] for k in tols)})
+    report = {key: float(values.max()) for key, values in worst.items()}
+    return dict(report, **{"pass": all(report[k] < tols[k] for k in tols)})
 
 
 def _json_report(report: dict):
@@ -190,39 +192,47 @@ def _json_report(report: dict):
     return text + "\n", 0 if report["pass"] else 1
 
 
-def _ekz_sample(b, n: int, omega: float) -> dict:
-    """Commutator defects of the EKZ family at one omega, which are also its
-    zero-curvature residuals (see `ado.zero_curvature_residual`)."""
-    ops = [ado.ekz_hamiltonian_h1(b, omega)] + [
-        ado.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
-    ]
-    defects = [spin.max_abs(spin.commutator(x, y)) for x, y in itertools.combinations(ops, 2)]
-    return {COMM: defects, CURV: defects}
+def _max_abs_each(stack: np.ndarray) -> np.ndarray:
+    """spin.max_abs of every matrix of a stack."""
+    return np.abs(stack).max(axis=(-2, -1))
 
 
-def _gaudin_samples(block: dict, rng: np.random.Generator):
+def _pair_defects(ops: np.ndarray) -> np.ndarray:
+    """The commutator defect of every operator pair of an (n, S, d, d) stack, one
+    stacked commutator per pair: shape (S, pairs), pairs in combinations order."""
+    pairs = itertools.combinations(ops, 2)
+    return np.stack([_max_abs_each(spin.commutator(x, y)) for x, y in pairs], axis=-1)
+
+
+def _gaudin_defects(block: dict, rng: np.random.Generator) -> dict:
     sites = block["sites"]
     if sites < 2:
         raise ConfigError("gaudin suite needs at least two sites")
     system = spin.SiteSystem.uniform(sites, block["spin"])
+    cfgs = []
     for _ in range(block["draws"]):
         w = np.sort(rng.uniform(-2.0, 2.0, sites))
         while np.min(np.diff(w)) < 0.1:
             w = np.sort(rng.uniform(-2.0, 2.0, sites))
-        for lam in block["lambda_values"]:
-            cfg = gaudin.SpectralConfig(w=tuple(w), lam=lam, level_shift=block["level_shift"])
-            ops = [gaudin.richardson_integral(l, cfg, system) for l in range(sites)]
-            # one commutator per pair: kz_flatness_residual is max_abs([R_a, R_b] / level_shift)
-            comms = [spin.commutator(x, y) for x, y in itertools.combinations(ops, 2)]
-            yield {
-                COMM: [spin.max_abs(c) for c in comms],
-                CURV: [spin.max_abs(c / cfg.level_shift) for c in comms],
-            }
+        cfgs += [gaudin.SpectralConfig(w=tuple(w), lam=lam, level_shift=block["level_shift"])
+                 for lam in block["lambda_values"]]
+    ops = gaudin.richardson_integrals(range(sites), cfgs, system)
+    comm, curv = [], []
+    for x, y in itertools.combinations(ops, 2):
+        # one commutator per pair: kz_flatness_residual is max_abs([R_a, R_b] / level_shift)
+        c = spin.commutator(x, y)
+        comm.append(_max_abs_each(c))
+        curv.append(_max_abs_each(c / block["level_shift"]))
+    return {COMM: np.stack(comm, axis=-1), CURV: np.stack(curv, axis=-1)}
 
 
-def _ado_samples(block: dict, rng: np.random.Generator):
+def _ado_defects(block: dict, rng: np.random.Generator) -> dict:
+    """Each sample's largest commutator defect, which is also its largest
+    zero-curvature residual (see `ado.zero_curvature_residual`)."""
     breakage = block["break_parallelism"]
+    worst = []
     for n in block["n_values"]:
+        params, tables, omegas = [], [], []
         for _ in range(block["draws"]):
             g = rng.uniform(0.3, 1.0, n + 1)
             a = np.sort(rng.uniform(-2.0, 2.0, n - 1))
@@ -232,18 +242,23 @@ def _ado_samples(block: dict, rng: np.random.Generator):
             v = ado.coupling_matrix(p)
             v[0, 1] += breakage  # + 0.0 leaves the rank-one table as it is
             v[1, 0] += breakage
-            omega = float(rng.uniform(2.5, 4.0))
-            yield _ekz_sample(ado.b_vectors(p, v), n, omega)
+            params.append(p)
+            tables.append(v)
+            omegas.append(float(rng.uniform(2.5, 4.0)))
+        if params:
+            ops = ado.ekz_operators(ado.b_vector_stack(params, tables), np.array(omegas))
+            worst += list(_pair_defects(ops).max(axis=-1))
+    return {COMM: np.array(worst), CURV: np.array(worst)}
 
 
 def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     sections = {}
-    for name, samples in (("gaudin", _gaudin_samples), ("ado", _ado_samples)):
+    for name, defects in (("gaudin", _gaudin_defects), ("ado", _ado_defects)):
         block = cfg[name]
         if block is not None:
             tols = {COMM: block["tolerance"], CURV: block["curvature_tolerance"]}
-            sections[name] = _verdict(samples(block, rng), tols, tol, f"{name} suite")
+            sections[name] = _verdict(defects(block, rng), tols, tol, f"{name} suite")
     if not sections:
         raise ConfigError("verify-integrals config needs a 'gaudin' and/or 'ado' block")
     return _json_report(
@@ -256,26 +271,33 @@ def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
     )
 
 
-def _ekz_samples(p: ado.ADOParams, draws: int, h: float, rng):
+def _ekz_defects(p: ado.ADOParams, draws: int, h: float, rng) -> dict:
+    """Commutator defects of the EKZ family at each kept omega, which are also
+    its zero-curvature residuals, and the residuals of both closed-form
+    branches there; one operator stack serves both."""
     sols = [ado.closed_form_solution(p, m) for m in (+1, -1)]
-    b = sols[0].b
+    omegas = []
     for _ in range(draws):
         omega = float(rng.uniform(-2.5, 2.5))
-        if p.a.size and np.abs(omega - p.a).min() <= 0.5:
-            continue
-        sample = _ekz_sample(b, p.n, omega)
-        residuals = [ado.ekz_residual_check(sol, omega, h=h) for sol in sols]
-        sample[ODE] = [x for r, r_a in residuals for x in (r, *r_a)]
-        yield sample
+        if not (p.a.size and np.abs(omega - p.a).min() <= 0.5):
+            omegas.append(omega)
+    # both branches carry the four-vectors of the same params
+    ops = ado.ekz_operators(sols[0].b, np.array(omegas))
+    comm = _pair_defects(ops)
+    ode = []
+    for s, omega in enumerate(omegas):
+        residuals = [ado.ekz_residual_check(sol, omega, h, ops[:, s]) for sol in sols]
+        ode.append([x for r, r_a in residuals for x in (r, *r_a)])
+    return {COMM: comm, CURV: comm, ODE: np.array(ode)}
 
 
 def cmd_verify_ekz(cfg: dict, seed: int, tol: float | None):
     block = cfg["tolerances"]
     tols = {COMM: block["commutator"], CURV: block["curvature"], ODE: block["ode_residual"]}
     p = ado.ADOParams(**cfg["params"])
-    samples = _ekz_samples(p, cfg["draws"], cfg["residual_step"], np.random.default_rng(seed))
+    defects = _ekz_defects(p, cfg["draws"], cfg["residual_step"], np.random.default_rng(seed))
     suite = "verify-ekz (it skips omega draws within 0.5 of a flat level)"
-    return _json_report(_verdict(samples, tols, tol, suite))
+    return _json_report(_verdict(defects, tols, tol, suite))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ __all__ = [
     "CommutativityReport",
     "gaudin_integral",
     "richardson_integral",
+    "richardson_integrals",
     "richardson_derivative",
     "verify_commuting",
     "kz_flatness_residual",
@@ -84,14 +85,17 @@ def _check_site(cfg: SpectralConfig, system: SiteSystem, site: int) -> None:
         raise IndexError(f"site {site} outside 0..{system.n_sites - 1}")
 
 
-def _exchange_sum(site: int, denominators, system: SiteSystem) -> np.ndarray:
-    """sum over m != site of S(site).S(m) / denominators[m], added in site order:
-    the per-term formula's own arithmetic, so results equal it bit for bit."""
+def _exchange_sums(sites, denominators, system: SiteSystem) -> np.ndarray:
+    """out[i, s] = sum over m != sites[i] of S(sites[i]).S(m) / denominators[s, i, m],
+    added in site order: the per-term formula's own arithmetic, so every matrix
+    of the (len(sites), S, D, D) stack equals it bit for bit."""
     exchange = site_operators(system)[1]
-    out = np.zeros((system.total_dim,) * 2, dtype=complex)
-    for other, den in enumerate(denominators):
-        if other != site:
-            out += exchange[site, other] / den
+    den = np.asarray(denominators)[..., None, None]
+    out = np.zeros((len(sites), den.shape[0]) + (system.total_dim,) * 2, dtype=complex)
+    for i, site in enumerate(sites):
+        for other in range(system.n_sites):
+            if other != site:
+                out[i] += exchange[site, other] / den[:, i, other]
     return out
 
 
@@ -99,15 +103,29 @@ def gaudin_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> np.nd
     """G_site = sum over other sites of S(site).S(other) / (w_site - w_other)."""
     _check_site(cfg, system, site)
     w = _weights(cfg)
-    return _exchange_sum(site, w[site] - w, system)
+    return _exchange_sums([site], (w[site] - w)[None, None], system)[0, 0]
+
+
+def richardson_integrals(sites, cfgs, system: SiteSystem) -> np.ndarray:
+    """R_l for each l in `sites` and each config, as one (len(sites), len(cfgs),
+    D, D) stack: entry [i, s] is richardson_integral(sites[i], cfgs[s], system)."""
+    sites = list(sites)
+    for cfg in cfgs:
+        for site in sites:
+            _check_site(cfg, system, site)
+    w = np.array([_weights(cfg) for cfg in cfgs]).reshape(len(cfgs), system.n_sites)
+    out = _exchange_sums(sites, w[:, sites, None] - w[:, None, :], system)
+    lam = np.array([cfg.lam for cfg in cfgs])
+    extended = lam != 0.0  # R_l is G_l bitwise at lam = 0
+    sz = site_operators(system)[0]
+    for i, site in enumerate(sites):
+        out[i, extended] += lam[extended, None, None] * sz[site][2]
+    return out
 
 
 def richardson_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
     """R_site = lam * Sz(site) + G_site; reduces to G_site bitwise at lam = 0."""
-    g = gaudin_integral(site, cfg, system)
-    if cfg.lam == 0.0:
-        return g
-    return cfg.lam * site_operators(system)[0][site][2] + g
+    return richardson_integrals([site], [cfg], system)[0, 0]
 
 
 def richardson_derivative(
@@ -123,7 +141,7 @@ def richardson_derivative(
     w = _weights(cfg)
     # scalar squares: a numpy scalar ** 2 can round differently from an array's
     if wrt == site:
-        return _exchange_sum(site, [-(w[site] - x) ** 2 for x in w], system)
+        return _exchange_sums([site], [[[-(w[site] - x) ** 2 for x in w]]], system)[0, 0]
     return site_operators(system)[1][site, wrt] / (w[site] - w[wrt]) ** 2
 
 

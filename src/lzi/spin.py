@@ -43,11 +43,12 @@ def hermiticity_defect(a) -> float:
 
 
 def commutator(a, b) -> np.ndarray:
-    """A @ B - B @ A for square matrices of equal dimension."""
+    """A @ B - B @ A for square matrices of equal dimension, or matrix by matrix
+    for two stacks of them of equal shape (one batched product per side)."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a

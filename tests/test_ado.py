@@ -154,6 +154,66 @@ def test_parallelism_defect_skips_a_zero_spatial_part():
         lzi.b_vectors(p, v)
 
 
+def _one_point_operators(p, v, omega):
+    """b1, bk and H_1, H_2..H_n of one model at one omega, entry by entry as the
+    one-point formulas read (scalar squares, one np.dot per pair, terms added in order)."""
+    basis = lzi.pauli_u2_basis()
+
+    def pair(v00, v11, v01):
+        return np.array([(v00 + v11) / 2.0, v01, 0.0, (v00 - v11) / 2.0])
+
+    def contract(b4):
+        return sum(b4[mu] * basis[mu] for mu in range(4))
+
+    b1 = pair(v[0, 0], v[1, 1], v[0, 1])
+    bk = [pair(v[0, k] ** 2, v[1, k] ** 2, v[0, k] * v[1, k]) for k in range(2, p.n + 1)]
+    h1 = contract(b1)
+    for j, row in enumerate(bk):
+        h1 = h1 + contract(row) / (omega - p.a[j])
+    ops = [h1]
+    for j, row in enumerate(bk):
+        scalar = 0.0
+        for jp, other in enumerate(bk):
+            if jp != j:
+                scalar += float(np.dot(row, other)) / (p.a[j] - p.a[jp])
+        ops.append(scalar * np.eye(2, dtype=complex) + contract(row) / (p.a[j] - omega))
+    return b1, np.array(bk), ops
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_stacked_four_vectors_and_operators_equal_the_one_point_formulas_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    params, tables = [], []
+    for s in range(6):
+        gamma = rng.uniform(0.3, 1.0, n + 1)
+        if s == 0:
+            gamma[[0, 2]] = 0.3, 0.196  # (0.3 * 0.196) ** 2 rounds differently from x * x
+        p = _params(gamma=gamma, a=np.arange(n - 1) * 0.7 + rng.uniform(-2.0, -1.0))
+        v = lzi.coupling_matrix(p)
+        if s % 2:
+            noise = np.zeros_like(v)
+            noise[:2] = rng.normal(0.0, 0.2, (2, n + 1))
+            v = v + noise + noise.T
+        params.append(p)
+        tables.append(v)
+    omegas = rng.uniform(2.5, 4.0, len(params))
+    stack = lzi.b_vector_stack(params, tables)
+    ops = lzi.ekz_operators(stack, omegas)
+    for s, (p, v) in enumerate(zip(params, tables)):
+        b1, bk, expected = _one_point_operators(p, v, float(omegas[s]))
+        one = lzi.b_vectors(p, v)
+        assert np.array_equal(one.b1, b1) and np.array_equal(one.bk, bk)
+        for name in ("b1", "bk", "beta1", "betas", "unit_n", "a", "parallelism_defect"):
+            assert np.array_equal(getattr(stack, name)[s], getattr(one, name))
+        assert len(ops) == len(expected) == n
+        for op, want in zip(ops[:, s], expected):
+            assert np.array_equal(op, want)
+        # one set at one omega, and one set at many omegas, build the same operators
+        single = lzi.ekz_operators(one, float(omegas[s]))
+        assert all(np.array_equal(x, y) for x, y in zip(single, expected))
+        assert np.array_equal(lzi.ekz_operators(one, omegas)[:, s], ops[:, s])
+
+
 # ---------------------------------------------------------------------------
 # conserved operators and zero curvature
 

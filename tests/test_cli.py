@@ -168,15 +168,24 @@ def test_verify_integrals_readme_config_matches_golden_file(tmp_path, break_para
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_verify_ekz_readme_config_matches_golden_file(tmp_path):
+    config = next(example for heading, example in _readme_examples() if heading == "verify-ekz")
+    cfg = _write(tmp_path, "ekz.json", config)
+    out = tmp_path / "report.json"
+    assert _run(["verify-ekz", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify_ekz_readme_seed0_golden.json").read_bytes()
+
+
 @pytest.fixture
 def op_counts(monkeypatch):
     """Calls of the operator builders, of spin.commutator, of the secular-root
     solve and of the four-vector builders, through every lzi module that binds
     them."""
     counts = collections.Counter()
-    for name, home in (("richardson_integral", gaudin), ("ekz_hamiltonian_hk", ado),
-                       ("commutator", spin), ("spectral_roots", do), ("b_vectors", ado),
-                       ("BVectorSet", ado)):
+    for name, home in (("richardson_integral", gaudin), ("richardson_integrals", gaudin),
+                       ("ekz_hamiltonian_hk", ado), ("ekz_operators", ado), ("commutator", spin),
+                       ("spectral_roots", do), ("b_vectors", ado), ("b_vector_stack", ado),
+                       ("BVectorSet", ado), ("ekz_residual_check", ado)):
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -189,21 +198,34 @@ def op_counts(monkeypatch):
     return counts
 
 
+def _counts_at_two_draw_counts(tmp_path, op_counts, command, config, blocks):
+    """op_counts of one run with `draws` 2 in every block of `blocks`, and of one with 20."""
+    runs = []
+    for draws in (2, 20):
+        for block in blocks:
+            block["draws"] = draws
+        cfg = _write(tmp_path, "verify.json", config)
+        op_counts.clear()
+        assert _run([command, "--config", cfg, "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
+        runs.append(dict(op_counts))
+    return runs
+
+
 def test_verify_integrals_builds_each_operator_and_takes_each_commutator_once(tmp_path, op_counts):
+    # a suite builds all its operators as one stack (the ado suite one per level count)
+    # and takes each pair's commutator as one stacked product, so no count grows with draws
     config = {
         "schema_version": 1,
-        "gaudin": {"sites": 4, "draws": 2, "lambda_values": [0.0, 1.5]},
-        "ado": {"n_values": [2, 3, 4], "draws": 2},
+        "gaudin": {"sites": 4, "lambda_values": [0.0, 1.5]},
+        "ado": {"n_values": [2, 3, 4]},
     }
-    cfg = _write(tmp_path, "vi.json", config)
-    assert _run(["verify-integrals", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
-    gaudin_samples, sites = 2 * 2, 4
-    assert op_counts["richardson_integral"] == gaudin_samples * sites
-    # an ado sample at level count n + 1 has n - 1 companion operators H_k besides H_1
-    assert op_counts["ekz_hamiltonian_hk"] == 2 * sum(n - 1 for n in (2, 3, 4))
-    assert op_counts["commutator"] == gaudin_samples * math.comb(sites, 2) + 2 * sum(
-        math.comb(n, 2) for n in (2, 3, 4)
-    )
+    few, many = _counts_at_two_draw_counts(
+        tmp_path, op_counts, "verify-integrals", config, [config["gaudin"], config["ado"]])
+    assert few == many
+    assert few["richardson_integrals"] == 1
+    assert few["b_vector_stack"] == few["ekz_operators"] == 3
+    assert few["commutator"] == math.comb(4, 2) + sum(math.comb(n, 2) for n in (2, 3, 4))
+    assert "richardson_integral" not in few and "ekz_hamiltonian_hk" not in few
 
 
 def test_eigenpairs_and_spectral_flow_solve_the_roots_once_per_time(op_counts):
@@ -215,30 +237,24 @@ def test_eigenpairs_and_spectral_flow_solve_the_roots_once_per_time(op_counts):
 
 
 def test_verify_ekz_builds_four_vectors_only_for_its_solutions(tmp_path, op_counts):
-    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}, "draws": 10}
-    cfg = _write(tmp_path, "ekz.json", config)
-    assert _run(["verify-ekz", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "r.json")]) == 0
-    # one BVectorSet per closed-form branch, each from b_vectors; none per residual check
-    assert op_counts["BVectorSet"] == op_counts["b_vectors"] == 2
+    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}}
+    few, many = _counts_at_two_draw_counts(tmp_path, op_counts, "verify-ekz", config, [config])
+    # one four-vector set per closed-form branch, each from b_vectors; none per residual check
+    assert few["b_vectors"] == 2
+    assert (few["b_vectors"], few["BVectorSet"]) == (many["b_vectors"], many["BVectorSet"])
 
 
-def test_verify_ekz_builds_each_operator_and_takes_each_commutator_once(tmp_path, monkeypatch, op_counts):
-    per_sample = []
-    sample = cli._ekz_sample
-
-    def recorded(b, n, omega):
-        before = op_counts.copy()
-        out = sample(b, n, omega)
-        per_sample.append((n, op_counts["ekz_hamiltonian_hk"] - before["ekz_hamiltonian_hk"],
-                           op_counts["commutator"] - before["commutator"]))
-        return out
-
-    monkeypatch.setattr(cli, "_ekz_sample", recorded)
-    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2, 0.6], "a": [-1.0, 1.0, 2.5]},
-              "draws": 8}
-    cfg = _write(tmp_path, "ekz.json", config)
-    assert _run(["verify-ekz", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
-    assert per_sample and all(counts == (4, 3, 6) for counts in per_sample)
+def test_verify_ekz_builds_each_operator_and_takes_each_commutator_once(tmp_path, op_counts):
+    # one H_1..H_n stack over every kept omega serves the commutators and both
+    # branches' residual checks; each pair's commutator is one stacked product
+    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2, 0.6], "a": [-1.0, 1.0, 2.5]}}
+    few, many = _counts_at_two_draw_counts(tmp_path, op_counts, "verify-ekz", config, [config])
+    assert many["ekz_residual_check"] > few["ekz_residual_check"] > 0
+    assert {k: v for k, v in few.items() if k != "ekz_residual_check"} == {
+        k: v for k, v in many.items() if k != "ekz_residual_check"}
+    assert few["ekz_operators"] == 1
+    assert few["commutator"] == math.comb(4, 2)
+    assert "ekz_hamiltonian_hk" not in few
 
 
 def _verify_integrals_definitions(config: dict, seed: int) -> dict:
@@ -258,7 +274,7 @@ def _verify_integrals_definitions(config: dict, seed: int) -> dict:
             comm.append(lzi.verify_commuting(ops).max_defect)
             curv += [lzi.kz_flatness_residual(spec, system, la, lb)
                      for la, lb in itertools.combinations(range(g_block["sites"]), 2)]
-    out = {"gaudin": (max(comm), max(curv))}
+    out = {"gaudin": {cli.COMM: max(comm), cli.CURV: max(curv)}}
     comm, curv = [], []
     for n in a_block["n_values"]:
         for _ in range(a_block["draws"]):
@@ -267,30 +283,68 @@ def _verify_integrals_definitions(config: dict, seed: int) -> dict:
             while a.size >= 2 and np.min(np.diff(a)) < 0.2:
                 a = np.sort(rng.uniform(-2.0, 2.0, n - 1))
             p = lzi.ADOParams(gamma=g, a=a)
-            b = lzi.b_vectors(p)
+            v = lzi.coupling_matrix(p)
+            v[0, 1] += a_block["break_parallelism"]
+            v[1, 0] += a_block["break_parallelism"]
+            b = lzi.b_vectors(p, v)
             omega = float(rng.uniform(2.5, 4.0))
-            ops = [lzi.ekz_hamiltonian_h1(b, omega)] + [
-                lzi.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
-            ]
-            comm.append(lzi.verify_commuting(ops).max_defect)
+            comm.append(_ekz_commutator_defect(b, n, omega))
             curv += [lzi.zero_curvature_residual(b, i, j, omega)
                      for i, j in itertools.combinations([0] + list(range(2, n + 1)), 2)]
-    out["ado"] = (max(comm), max(curv))
+    out["ado"] = {cli.COMM: max(comm), cli.CURV: max(curv)}
     return out
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_verify_integrals_reports_the_library_definitions(tmp_path, seed):
-    # the CLI reads both curvature residuals from the commutators it takes once;
-    # they must equal the library's kz_flatness_residual and zero_curvature_residual
-    config = next(example for heading, example in _readme_examples() if heading == "verify-integrals")
-    cfg = _write(tmp_path, "vi.json", config)
+def _ekz_commutator_defect(b, n: int, omega: float) -> float:
+    ops = [lzi.ekz_hamiltonian_h1(b, omega)]
+    ops += [lzi.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)]
+    return lzi.verify_commuting(ops).max_defect
+
+
+def _verify_ekz_definitions(config: dict, seed: int) -> dict:
+    """The verify-ekz report's numbers from the library's one-point definitions."""
+    rng = np.random.default_rng(seed)
+    p = lzi.ADOParams(**config["params"])
+    sols = [lzi.closed_form_solution(p, m) for m in (+1, -1)]
+    b, labels = sols[0].b, [0] + list(range(2, p.n + 1))
+    comm, curv, ode = [], [], []
+    for _ in range(config["draws"]):
+        omega = float(rng.uniform(-2.5, 2.5))
+        if np.abs(omega - p.a).min() <= 0.5:
+            continue
+        comm.append(_ekz_commutator_defect(b, p.n, omega))
+        curv += [lzi.zero_curvature_residual(b, i, j, omega)
+                 for i, j in itertools.combinations(labels, 2)]
+        for sol in sols:
+            r, r_a = lzi.ekz_residual_check(sol, omega, h=config["residual_step"])
+            ode += [r, *r_a]
+    return {cli.COMM: max(comm), cli.CURV: max(curv), cli.ODE: max(ode)}
+
+
+@pytest.mark.parametrize(
+    "case, seed",
+    [pytest.param("readme", seed, id=str(seed)) for seed in (1, 2, 3)]
+    + [pytest.param(case, seed, id=f"{case}-{seed}")
+       for case in ("broken-parallelism", "verify-ekz") for seed in (1, 2, 3)],
+)
+def test_verify_integrals_reports_the_library_definitions(tmp_path, case, seed):
+    # the CLI evaluates stacks and reads both curvature residuals from the commutators
+    # it takes once; every number must equal the library's one-point definitions
+    command = "verify-ekz" if case == "verify-ekz" else "verify-integrals"
+    config = next(example for heading, example in _readme_examples() if heading == command)
+    if case == "broken-parallelism":
+        config["ado"]["break_parallelism"] = 0.1
+    cfg = _write(tmp_path, "verify.json", config)
     out = tmp_path / "report.json"
-    assert _run(["verify-integrals", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
-    sections = json.loads(out.read_text())["sections"]
-    for suite, (comm, curv) in _verify_integrals_definitions(config, seed).items():
-        assert sections[suite]["max_commutator_defect"] == comm
-        assert sections[suite]["max_curvature_residual"] == curv
+    expected_code = 1 if case == "broken-parallelism" else 0
+    assert _run([command, "--config", cfg, "--seed", str(seed), "--out", str(out)]) == expected_code
+    report = json.loads(out.read_text())
+    if command == "verify-ekz":
+        expected = _verify_ekz_definitions(config, seed)
+        assert {key: report[key] for key in expected} == expected
+    else:
+        for suite, expected in _verify_integrals_definitions(config, seed).items():
+            assert {key: report["sections"][suite][key] for key in expected} == expected
 
 
 def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
@@ -306,9 +360,13 @@ def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
 
 
 def test_verdict_keeps_a_nan_behind_a_larger_value():
-    samples = [{cli.COMM: [1e-14]}, {cli.COMM: [1e-3, float("nan")]}]
-    with pytest.raises(NumericalError, match="max_commutator_defect is nan at sample 2"):
-        cli._verdict(iter(samples), {cli.COMM: 1e-12}, None, "suite")
+    # defects[key][k] holds a key's values at sample k, counted from 1 in draw order
+    nan = float("nan")
+    for defects in ({cli.COMM: np.array([[1e-14, 1e-14], [1e-3, nan]])},
+                    {cli.COMM: np.array([[1e-14, 0.0], [nan, 1e-3], [1e-2, 0.0]]),
+                     cli.CURV: np.array([1e-14, 1e-3, nan])}):
+        with pytest.raises(NumericalError, match="max_commutator_defect is nan at sample 2"):
+            cli._verdict(defects, {cli.COMM: 1e-12, cli.CURV: 1e-12}, None, "suite")
 
 
 def test_verify_ekz_passes(tmp_path):

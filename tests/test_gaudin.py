@@ -285,6 +285,13 @@ def test_families_equal_the_per_term_sums_bitwise(spins):
             if other != site:
                 expected = lzi.dot_coupling(site, other, system) / (w[site] - w[other]) ** 2
                 assert np.array_equal(lzi.richardson_derivative(site, cfg, system, wrt=other), expected)
+    # the stacked build over several configs (lam = 0 included) equals the one-config sums
+    cfgs = [cfg, lzi.SpectralConfig(w=tuple(w[::-1])), lzi.SpectralConfig(w=tuple(w + 0.5), lam=-1.3)]
+    stack = lzi.richardson_integrals(range(system.n_sites), cfgs, system)
+    for s, spec in enumerate(cfgs):
+        for site in range(system.n_sites):
+            g = _per_term(site, spec, system, 1)
+            assert np.array_equal(stack[site, s], spec.lam * sz[site] + g if spec.lam else g)
 
 
 def test_mutating_a_returned_family_operator_leaves_the_next_call_unchanged():

@@ -166,6 +166,18 @@ def test_commutator_norm_inequality():
 def test_commutator_dimension_mismatch():
     with pytest.raises(DimensionError):
         lzi.commutator(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionError):
+        lzi.commutator(np.ones((4, 2, 2)), np.eye(2))  # a stack needs a stack of its shape
+    with pytest.raises(DimensionError):
+        lzi.commutator(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
+
+
+def test_commutator_of_stacks_is_the_commutator_of_each_pair_bitwise():
+    rng = np.random.default_rng(4)
+    a, b = (rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4)) for _ in range(2))
+    stacked = lzi.commutator(a, b)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(stacked[idx], lzi.commutator(a[idx], b[idx]))
 
 
 def test_site_system_total_dim():
