@@ -17,9 +17,6 @@ from .ado import (
     b_vectors,
     closed_form_solution,
     coupling_matrix,
-    ekz_hamiltonian_h1,
-    ekz_hamiltonian_hk,
-    ekz_hk_scalar,
     ekz_operators,
     ekz_residual_check,
     lz_probability,
@@ -33,7 +30,6 @@ from .demkov_osherov import (
     DOParams,
     SpectralFlow,
     bow_tie_sweep,
-    build_do_hamiltonian,
     do_sweep,
     eigenpairs,
     entries_from_gamma,
@@ -56,11 +52,9 @@ from .errors import (
 from .gaudin import (
     CommutativityReport,
     SpectralConfig,
-    gaudin_integral,
     kz_flatness_residual,
     richardson_derivative,
     richardson_integral,
-    richardson_integrals,
     verify_commuting,
 )
 from .propagator import (

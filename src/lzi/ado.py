@@ -57,9 +57,6 @@ __all__ = [
     "b_vectors",
     "b_vector_stack",
     "ekz_operators",
-    "ekz_hamiltonian_h1",
-    "ekz_hamiltonian_hk",
-    "ekz_hk_scalar",
     "zero_curvature_residual",
     "spinor_eigenbasis",
     "closed_form_solution",
@@ -163,9 +160,9 @@ def _scalar_squares(x: np.ndarray) -> np.ndarray:
 def b_vector_stack(params, v) -> BVectorSet:
     """The four-vectors of several models of one level count n + 1 at once:
     v[s] is the symmetric (n + 1) x (n + 1) coupling table of params[s], of
-    which only rows 0 and 1 are used.  Entry s of every field equals
-    b_vectors(params[s], v[s]); any loss of parallelism is reported, not
-    raised.
+    which only rows 0 and 1 are used.  Entry s of every field is model s's
+    own, equal to b_vectors(params[s]) for its rank-one table; any loss of
+    parallelism is reported, not raised.
     """
     n = params[0].n
     v = np.asarray(v, dtype=float)
@@ -203,22 +200,13 @@ def _four_vectors(params, v: np.ndarray) -> BVectorSet:
     )
 
 
-def b_vectors(p: ADOParams, v: np.ndarray | None = None) -> BVectorSet:
-    """Reduce couplings to the classical four-vectors.
-
-    With the default rank-one couplings: b1 = ((g0^2+g1^2)/2, g0 g1, 0,
-    (g0^2-g1^2)/2) and bk = gamma_k^2 * b1, so every spatial part is parallel
-    and beta_k equals the time component b_k^0.  An explicit symmetric
-    coupling table `v` may override the defaults; only rows 0 and 1 are used,
-    and any loss of parallelism is reported, not raised.
+def b_vectors(p: ADOParams) -> BVectorSet:
+    """Reduce the rank-one couplings to the classical four-vectors:
+    b1 = ((g0^2+g1^2)/2, g0 g1, 0, (g0^2-g1^2)/2) and bk = gamma_k^2 * b1, so
+    every spatial part is parallel and beta_k equals the time component b_k^0.
+    An explicit coupling table goes through :func:`b_vector_stack`.
     """
-    if v is None:
-        stack = _four_vectors([p], coupling_matrix(p)[None])
-    else:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (p.n + 1, p.n + 1):
-            raise ValueError(f"coupling table must be {(p.n + 1, p.n + 1)}, got {v.shape}")
-        stack = b_vector_stack([p], v[None])
+    stack = _four_vectors([p], coupling_matrix(p)[None])
     return BVectorSet(
         b1=stack.b1[0],
         bk=stack.bk[0],
@@ -279,31 +267,6 @@ def ekz_operators(b: BVectorSet, omega) -> np.ndarray:
         hk.append(scalars[..., j, None, None] * _PAULI[0]
                   + weight / (b.a[..., j] - omega)[..., None, None])
     return np.stack(np.broadcast_arrays(h1, *hk))
-
-
-def ekz_hamiltonian_h1(b: BVectorSet, omega: float) -> np.ndarray:
-    """The omega-side 2 x 2 operator: b1.S + sum_k bk.S / (omega - a_k)."""
-    return ekz_operators(b, omega)[0]
-
-
-def ekz_hk_scalar(b: BVectorSet, k: int) -> float:
-    """Classical-classical part of H_k (labels k = 2..n): the sum of
-    b_k.b_k' / (a_k - a_k') over every k' != k."""
-    return float(_hk_scalars(b)[_classical_index(b, k)])
-
-
-def _classical_index(b: BVectorSet, k: int) -> int:
-    if not 2 <= k <= b.n_classical + 1:
-        raise IndexError(f"classical label k must be in 2..{b.n_classical + 1}, got {k}")
-    return k - 2
-
-
-def ekz_hamiltonian_hk(b: BVectorSet, k: int, omega: float) -> np.ndarray:
-    """Companion operator for flat level k (labels k = 2..n):
-
-    scalar part * identity + bk.S / (a_k - omega).
-    """
-    return ekz_operators(b, omega)[_classical_index(b, k) + 1]
 
 
 def zero_curvature_residual(b: BVectorSet, i: int, j: int, omega: float) -> float:
@@ -381,7 +344,7 @@ class EKZSolution:
         acc = 1j * omega**2 / 2.0 - 1j * b.beta1 * one_plus_m * omega
         for j in range(a.size):
             if omega == a[j]:
-                raise BranchPointError(f"omega = a_{j + 2} = {a[j]!r}")
+                raise BranchPointError(f"omega = a_{j + 2} = {float(a[j])!r}")
             acc = acc - 1j * b.betas[j] * one_plus_m * _branch_log(omega - a[j])
         for i, j in itertools.combinations(range(a.size), 2):
             acc = acc - 2j * b.betas[i] * b.betas[j] * _branch_log(a[i] - a[j])

@@ -40,7 +40,6 @@ __all__ = [
     "DOParams",
     "DOHamiltonianEntries",
     "SpectralFlow",
-    "build_do_hamiltonian",
     "entries_from_gamma",
     "gamma_from_entries",
     "spectral_roots",
@@ -124,20 +123,16 @@ class DOHamiltonianEntries:
         return abs(self.a00 - float(np.sum(self.v0**2 / self.a0)))
 
 
-def build_do_hamiltonian(entries: DOHamiltonianEntries, t: float) -> np.ndarray:
-    """(n+1) x (n+1) real symmetric matrix at sweep time t."""
-    n = entries.n
-    h = np.zeros((n + 1, n + 1))
-    h[0, 0] = t + entries.a00
-    h[0, 1:] = entries.v0
-    h[1:, 0] = entries.v0
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = entries.a0
-    return h
-
-
 def do_sweep(entries: DOHamiltonianEntries) -> AffineHamiltonian:
-    """The sweep H(t) = A + t D with only the corner level sloped."""
-    a = build_do_hamiltonian(entries, 0.0)
+    """The sweep H(t) = A + t D with only the corner level sloped: A is the
+    real symmetric arrowhead with corner a00, flat diagonal a0 and couplings
+    v0 in row and column 0."""
+    n = entries.n
+    a = np.zeros((n + 1, n + 1))
+    a[0, 0] = entries.a00
+    a[0, 1:] = entries.v0
+    a[1:, 0] = entries.v0
+    a[np.arange(1, n + 1), np.arange(1, n + 1)] = entries.a0
     d = np.zeros_like(a)
     d[0, 0] = 1.0
     return AffineHamiltonian(a, d)
@@ -176,7 +171,7 @@ def bow_tie_sweep(r, base: DOHamiltonianEntries) -> AffineHamiltonian:
     r = np.asarray(r, dtype=float)
     if r.shape != base.a0.shape:
         raise ValueError(f"expected {base.n} slopes, got shape {r.shape}")
-    a = build_do_hamiltonian(DOHamiltonianEntries(base.a00, np.zeros(base.n), base.v0), 0.0)
+    a = do_sweep(DOHamiltonianEntries(base.a00, np.zeros(base.n), base.v0)).a
     d = np.diag(np.concatenate([[1.0], r + 1.0]))
     return AffineHamiltonian(a, d)
 
@@ -208,7 +203,7 @@ def gamma_from_entries(entries: DOHamiltonianEntries) -> tuple:
     """
     if np.any(entries.v0 == 0.0):
         raise DegenerateSpectralError("zero coupling: the inverse map needs v0_i != 0")
-    shifts = -np.linalg.eigvalsh(build_do_hamiltonian(entries, 0.0))[::-1]
+    shifts = -np.linalg.eigvalsh(do_sweep(entries).a.real)[::-1]
     usable = (np.abs(shifts) <= _MAX_SHIFT) & np.all(entries.a0 + shifts[:, None] != 0.0, axis=1)
     if not np.any(usable):
         raise NoRealShiftError(

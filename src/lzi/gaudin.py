@@ -29,9 +29,7 @@ from .spin import SiteSystem, commutator, max_abs, site_operators
 __all__ = [
     "SpectralConfig",
     "CommutativityReport",
-    "gaudin_integral",
     "richardson_integral",
-    "richardson_integrals",
     "richardson_derivative",
     "verify_commuting",
     "kz_flatness_residual",
@@ -99,16 +97,10 @@ def _exchange_sums(sites, denominators, system: SiteSystem) -> np.ndarray:
     return out
 
 
-def gaudin_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
-    """G_site = sum over other sites of S(site).S(other) / (w_site - w_other)."""
-    _check_site(cfg, system, site)
-    w = _weights(cfg)
-    return _exchange_sums([site], (w[site] - w)[None, None], system)[0, 0]
-
-
-def richardson_integrals(sites, cfgs, system: SiteSystem) -> np.ndarray:
-    """R_l for each l in `sites` and each config, as one (len(sites), len(cfgs),
-    D, D) stack: entry [i, s] is richardson_integral(sites[i], cfgs[s], system)."""
+def richardson_integral(sites, cfgs, system: SiteSystem) -> np.ndarray:
+    """R_l = lam * Sz(l) + G_l for each l in `sites` and each config, as one
+    (len(sites), len(cfgs), D, D) stack; entry [i, s] is R_{sites[i]} of
+    cfgs[s], and equals G_{sites[i]} bit for bit where lam = 0."""
     sites = list(sites)
     for cfg in cfgs:
         for site in sites:
@@ -121,11 +113,6 @@ def richardson_integrals(sites, cfgs, system: SiteSystem) -> np.ndarray:
     for i, site in enumerate(sites):
         out[i, extended] += lam[extended, None, None] * sz[site][2]
     return out
-
-
-def richardson_integral(site: int, cfg: SpectralConfig, system: SiteSystem) -> np.ndarray:
-    """R_site = lam * Sz(site) + G_site; reduces to G_site bitwise at lam = 0."""
-    return richardson_integrals([site], [cfg], system)[0, 0]
 
 
 def richardson_derivative(
@@ -188,6 +175,5 @@ def kz_flatness_residual(
         raise SameSiteError("flatness residual needs two distinct sites")
     d_ab = richardson_derivative(site_b, cfg, system, wrt=site_a)
     d_ba = richardson_derivative(site_a, cfg, system, wrt=site_b)
-    r_a = richardson_integral(site_a, cfg, system)
-    r_b = richardson_integral(site_b, cfg, system)
+    r_a, r_b = richardson_integral([site_a, site_b], [cfg], system)[:, 0]
     return max_abs(d_ab - d_ba - commutator(r_a, r_b) / cfg.level_shift)

@@ -59,9 +59,9 @@ def test_criterion_2_exact_eigenpairs():
             while np.min(np.diff(eps)) < 0.1:
                 eps = np.sort(rng.uniform(-3.0, 3.0, n + 1))
             params = lzi.DOParams(gamma=gamma, epsilon=eps)
-            entries = lzi.entries_from_gamma(params)
+            sweep = lzi.do_sweep(lzi.entries_from_gamma(params))
             for t in (-10.0, -1.0, 0.1, 1.0, 10.0):
-                h = lzi.build_do_hamiltonian(entries, t)
+                h = sweep(t).real
                 roots = lzi.spectral_roots(params, t)
                 finite = roots[np.isfinite(roots)]
                 for i in range(n):
@@ -89,7 +89,7 @@ def test_criterion_3_commuting_integrals():
             w = np.sort(rng.uniform(-2.0, 2.0, 4))
         for lam in (0.0, 0.5, 2.0):
             cfg = lzi.SpectralConfig(w=tuple(w), lam=lam)
-            ops = [lzi.richardson_integral(l, cfg, system) for l in range(4)]
+            ops = lzi.richardson_integral(range(4), [cfg], system)[:, 0]
             worst_chain = max(worst_chain, lzi.verify_commuting(ops, 1e-12).max_defect)
 
     worst_classical = 0.0
@@ -100,20 +100,14 @@ def test_criterion_3_commuting_integrals():
             while a.size >= 2 and np.min(np.diff(a)) < 0.2:
                 a = np.sort(rng.uniform(-2.0, 2.0, n - 1))
             b = lzi.b_vectors(lzi.ADOParams(gamma=gamma, a=a))
-            omega = float(rng.uniform(2.5, 4.0))
-            ops = [lzi.ekz_hamiltonian_h1(b, omega)] + [
-                lzi.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
-            ]
+            ops = lzi.ekz_operators(b, float(rng.uniform(2.5, 4.0)))
             worst_classical = max(worst_classical, lzi.verify_commuting(ops, 1e-13).max_defect)
 
     params = lzi.ADOParams(gamma=[0.3, 0.4, 0.5, 0.2], a=[1.0, 2.5])
     broken = lzi.coupling_matrix(params).copy()
     broken[0, 1] += 0.1
     broken[1, 0] += 0.1
-    b_broken = lzi.b_vectors(params, broken)
-    ops = [lzi.ekz_hamiltonian_h1(b_broken, -0.7)] + [
-        lzi.ekz_hamiltonian_hk(b_broken, k, -0.7) for k in (2, 3)
-    ]
+    ops = lzi.ekz_operators(lzi.b_vector_stack([params], [broken]), -0.7)[:, 0]
     control = lzi.verify_commuting(ops, 1e-13).max_defect
     _report(
         3,
@@ -145,8 +139,7 @@ def test_criterion_4_zero_curvature():
     analytic = sum(b.bk[0][mu] * basis[mu] for mu in range(4)) / (b.a[0] - omega) ** 2
 
     def fd_error(h):
-        plus = lzi.ekz_hamiltonian_hk(b, 2, omega + h)
-        minus = lzi.ekz_hamiltonian_hk(b, 2, omega - h)
+        plus, minus = lzi.ekz_operators(b, [omega + h, omega - h])[1]
         return lzi.max_abs((plus - minus) / (2.0 * h) - analytic)
 
     ratio = fd_error(2e-3) / fd_error(1e-3)

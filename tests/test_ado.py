@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lzi
+from lzi.ado import _hk_scalars
 from lzi.errors import BranchPointError, DegenerateSpectralError, QuadratureError
 
 
@@ -95,18 +96,19 @@ def test_b_vector_override_reports_defect():
     v = lzi.coupling_matrix(p).copy()
     v[0, 1] += 0.3
     v[1, 0] += 0.3
-    b = lzi.b_vectors(p, v)
-    assert b.parallelism_defect > 1e-2
+    b = lzi.b_vector_stack([p], [v])
+    assert b.parallelism_defect[0] > 1e-2
 
 
 def _norm3(x):
     return math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
 
 
-def _pairwise_cross_defect(b):
-    """The worst |u_i x u_j| over the pairs of unit spatial parts, one np.cross per pair
-    (the norm summed left to right, as numpy's row norm sums a length-3 row)."""
-    spatial = [b.b1[1:]] + [row[1:] for row in b.bk]
+def _pairwise_cross_defect(b1, bk):
+    """The worst |u_i x u_j| over the pairs of unit spatial parts of one model's
+    four-vectors, one np.cross per pair (the norm summed left to right, as
+    numpy's row norm sums a length-3 row)."""
+    spatial = [b1[1:]] + [row[1:] for row in bk]
     units = [s / _norm3(s) for s in spatial if _norm3(s) > 0.0]
     defect = 0.0
     for u, w in itertools.combinations(units, 2):
@@ -128,10 +130,10 @@ def test_parallelism_defect_array_pass_matches_pairwise_cross_loop(n, table):
             noise = np.zeros_like(v)
             noise[:2] = rng.normal(0.0, 0.2, (2, n + 1))
             v = v + noise + noise.T
-        b = lzi.b_vectors(p, v)
-        assert b.parallelism_defect == _pairwise_cross_defect(b)
+        b = lzi.b_vector_stack([p], [v])
+        assert b.parallelism_defect[0] == _pairwise_cross_defect(b.b1[0], b.bk[0])
         if table != "rank-one":
-            assert b.parallelism_defect > 1e-3
+            assert b.parallelism_defect[0] > 1e-3
 
 
 def test_parallelism_defect_of_a_single_nonzero_vector_is_zero():
@@ -145,13 +147,13 @@ def test_parallelism_defect_skips_a_zero_spatial_part():
     p = _params(gamma=(0.3, 0.4, 0.5, 0.0, 0.2), a=(-1.0, 0.0, 1.0))
     v = lzi.coupling_matrix(p)
     v[0, 1] = v[1, 0] = v[0, 1] + 0.1
-    b = lzi.b_vectors(p, v)
-    assert not b.bk[1, 1:].any()
-    assert b.parallelism_defect == _pairwise_cross_defect(b) > 1e-3
+    b = lzi.b_vector_stack([p], [v])
+    assert not b.bk[0, 1, 1:].any()
+    assert b.parallelism_defect[0] == _pairwise_cross_defect(b.b1[0], b.bk[0]) > 1e-3
     # with no spatial part at all there is no direction to compare against
     v = np.zeros((5, 5))
     with pytest.raises(DegenerateSpectralError):
-        lzi.b_vectors(p, v)
+        lzi.b_vector_stack([p], [v])
 
 
 def _one_point_operators(p, v, omega):
@@ -201,15 +203,19 @@ def test_stacked_four_vectors_and_operators_equal_the_one_point_formulas_bitwise
     ops = lzi.ekz_operators(stack, omegas)
     for s, (p, v) in enumerate(zip(params, tables)):
         b1, bk, expected = _one_point_operators(p, v, float(omegas[s]))
-        one = lzi.b_vectors(p, v)
-        assert np.array_equal(one.b1, b1) and np.array_equal(one.bk, bk)
-        for name in ("b1", "bk", "beta1", "betas", "unit_n", "a", "parallelism_defect"):
-            assert np.array_equal(getattr(stack, name)[s], getattr(one, name))
+        one = lzi.b_vector_stack([p], [v])
+        assert np.array_equal(one.b1[0], b1) and np.array_equal(one.bk[0], bk)
+        fields = ("b1", "bk", "beta1", "betas", "unit_n", "a", "parallelism_defect")
+        for name in fields:
+            assert np.array_equal(getattr(stack, name)[s], getattr(one, name)[0])
+        if s % 2 == 0:  # a rank-one table: b_vectors builds the same set
+            for name in fields:
+                assert np.array_equal(getattr(stack, name)[s], getattr(lzi.b_vectors(p), name))
         assert len(ops) == len(expected) == n
         for op, want in zip(ops[:, s], expected):
             assert np.array_equal(op, want)
         # one set at one omega, and one set at many omegas, build the same operators
-        single = lzi.ekz_operators(one, float(omegas[s]))
+        single = lzi.ekz_operators(one, float(omegas[s]))[:, 0]
         assert all(np.array_equal(x, y) for x, y in zip(single, expected))
         assert np.array_equal(lzi.ekz_operators(one, omegas)[:, s], ops[:, s])
 
@@ -220,16 +226,16 @@ def test_stacked_four_vectors_and_operators_equal_the_one_point_formulas_bitwise
 
 def test_h1_reference_value():
     b = lzi.b_vectors(_params(gamma=(1.0, 1.0, 1.0), a=(0.0,)))
-    h1 = lzi.ekz_hamiltonian_h1(b, omega=1.0)
+    h1 = lzi.ekz_operators(b, 1.0)[0]
     s0, s1, _, _ = lzi.pauli_u2_basis()
     assert lzi.max_abs(h1 - 2.0 * (s0 + s1)) < 1e-14
 
 
 def test_h1_hermitian_and_pole_guard():
     b = lzi.b_vectors(_params())
-    assert lzi.hermiticity_defect(lzi.ekz_hamiltonian_h1(b, 0.7)) < 1e-14
+    assert lzi.hermiticity_defect(lzi.ekz_operators(b, 0.7)[0]) < 1e-14
     with pytest.raises(DegenerateSpectralError):
-        lzi.ekz_hamiltonian_h1(b, 0.0)
+        lzi.ekz_operators(b, 0.0)
 
 
 def test_h1_large_frequency_limit():
@@ -237,26 +243,27 @@ def test_h1_large_frequency_limit():
     basis = lzi.pauli_u2_basis()
     asymptote = sum(b.b1[mu] * basis[mu] for mu in range(4))
     omega = 1e6
-    deviation = lzi.max_abs(lzi.ekz_hamiltonian_h1(b, omega) - asymptote)
+    deviation = lzi.max_abs(lzi.ekz_operators(b, omega)[0] - asymptote)
     assert deviation < 2.0 * float(np.abs(b.bk).sum()) / omega
 
 
 def test_hk_single_flat_level_has_no_scalar_part():
     b = lzi.b_vectors(_params())
-    assert lzi.ekz_hk_scalar(b, 2) == 0.0
+    assert _hk_scalars(b)[0] == 0.0
     basis = lzi.pauli_u2_basis()
     expected = sum(b.bk[0][mu] * basis[mu] for mu in range(4)) / (0.0 - 3.0)
-    assert lzi.max_abs(lzi.ekz_hamiltonian_hk(b, 2, omega=3.0) - expected) < 1e-14
+    assert lzi.max_abs(lzi.ekz_operators(b, 3.0)[1] - expected) < 1e-14
 
 
 def test_hk_scalar_reference_euclidean():
     b = lzi.b_vectors(_params(gamma=(1.0, 1.0, 1.0, 1.0), a=(0.0, 1.0)))
     # b2 = b3 = (1,1,0,0); Euclidean dot = 2; (a2-a3) = -1
-    assert abs(lzi.ekz_hk_scalar(b, 2) - (-2.0)) < 1e-14
-    assert abs(lzi.ekz_hk_scalar(b, 3) - (+2.0)) < 1e-14
+    scalars = _hk_scalars(b)  # H_2's, then H_3's
+    assert abs(scalars[0] - (-2.0)) < 1e-14
+    assert abs(scalars[1] - (+2.0)) < 1e-14
     # the one-sided variant keeps only the k' > k terms: for k = 3 it drops
     # the one term b3.b2 / (a3 - a2) of the symmetric sum
-    upper = lzi.ekz_hk_scalar(b, 3) - np.dot(b.bk[1], b.bk[0]) / (b.a[1] - b.a[0])
+    upper = scalars[1] - np.dot(b.bk[1], b.bk[0]) / (b.a[1] - b.a[0])
     assert abs(upper) == 0.0
 
 
@@ -266,10 +273,7 @@ def test_companion_operators_commute_in_parallel_case():
         g = rng.uniform(0.3, 1.0, n + 1)
         a = np.linspace(0.0, n - 2.0, n - 1) if n > 2 else np.array([0.0])
         b = lzi.b_vectors(lzi.ADOParams(gamma=g, a=a))
-        omega = 7.3
-        ops = [lzi.ekz_hamiltonian_h1(b, omega)] + [
-            lzi.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)
-        ]
+        ops = list(lzi.ekz_operators(b, 7.3))
         assert lzi.verify_commuting(ops, tol=1e-13).passed
 
 
@@ -285,7 +289,7 @@ def test_zero_curvature_broken_parallelism():
     v = lzi.coupling_matrix(p).copy()
     v[0, 1] += 0.1
     v[1, 0] += 0.1
-    b = lzi.b_vectors(p, v)
+    b = lzi.b_vector_stack([p], [v])
     worst = max(
         lzi.zero_curvature_residual(b, i, j, omega=-0.7)
         for i, j in itertools.combinations([0, 2, 3], 2)
@@ -305,9 +309,9 @@ def test_upper_sum_variant_breaks_scalar_curvature():
     omega = -0.7
     # the one-sided sum keeps only the k' > k terms: H_2 is unchanged, H_3
     # loses b3.b2 / (a3 - a2) and with it d_2 H_3, while d_3 H_2 stays
-    h2 = lzi.ekz_hamiltonian_hk(b, 2, omega)
+    _, h2, h3 = lzi.ekz_operators(b, omega)
     dropped = np.dot(b.bk[1], b.bk[0]) / (b.a[1] - b.a[0])
-    h3_upper = lzi.ekz_hamiltonian_hk(b, 3, omega) - dropped * np.eye(2)
+    h3_upper = h3 - dropped * np.eye(2)
     d3_of_h2 = np.dot(b.bk[0], b.bk[1]) / (b.a[0] - b.a[1]) ** 2 * np.eye(2)
     res = lzi.max_abs(0.0 - d3_of_h2 - lzi.commutator(h2, h3_upper))
     # the missing scalar term has magnitude b2.b3 / (a_2 - a_3)^2 = 2 b2 b3 / gap^2
@@ -327,18 +331,20 @@ def test_zero_curvature_residual_is_the_commutator_of_the_pair(break_parallelism
         v = lzi.coupling_matrix(p).copy()
         v[0, 1] += break_parallelism
         v[1, 0] += break_parallelism
-        b = lzi.b_vectors(p, v)
+        b = lzi.b_vector_stack([p], [v])
+        bk, a = b.bk[0], b.a[0]
         omega = float(rng.uniform(2.5, 4.0))
-        ops = {0: lzi.ekz_hamiltonian_h1(b, omega)}
-        ops.update((k, lzi.ekz_hamiltonian_hk(b, k, omega)) for k in range(2, n + 1))
+        stack = lzi.ekz_operators(b, omega)[:, 0]  # H_1, then H_2..H_n
+        ops = {0: stack[0]}
+        ops.update((k, stack[k - 1]) for k in range(2, n + 1))
         basis = lzi.pauli_u2_basis()
         for i, j in itertools.combinations(ops, 2):
-            bj, aj = b.bk[j - 2], b.a[j - 2]
+            bj, aj = bk[j - 2], a[j - 2]
             if i == 0:
                 d_i_of_j = sum(bj[mu] * basis[mu] for mu in range(4)) / (aj - omega) ** 2
                 d_j_of_i = sum(bj[mu] * basis[mu] for mu in range(4)) / (omega - aj) ** 2
             else:
-                g = np.dot(b.bk[i - 2], bj) / (b.a[i - 2] - aj) ** 2
+                g = np.dot(bk[i - 2], bj) / (a[i - 2] - aj) ** 2
                 d_i_of_j = d_j_of_i = g * np.eye(2)
             explicit = lzi.max_abs(d_i_of_j - d_j_of_i - lzi.commutator(ops[i], ops[j]))
             assert lzi.zero_curvature_residual(b, i, j, omega) == explicit
@@ -452,7 +458,7 @@ def test_spatial_contraction_fails_ode_system():
     am = b.a.copy()
     am[0] -= h
     d_a = (sol(omega, ap) - sol(omega, am)) / (2 * h)
-    hk = lzi.ekz_hamiltonian_hk(b, 2, omega)
+    hk = lzi.ekz_operators(b, omega)[1]
     # the spatial-only product drops b2^0 b3^0 / (a2 - a3) from the scalar part
     hk_spatial = hk - b.bk[0, 0] * b.bk[1, 0] / (b.a[0] - b.a[1]) * np.eye(2)
     good = lzi.max_abs(d_a + 1j * hk @ phi)

@@ -182,8 +182,7 @@ def op_counts(monkeypatch):
     solve and of the four-vector builders, through every lzi module that binds
     them."""
     counts = collections.Counter()
-    for name, home in (("richardson_integral", gaudin), ("richardson_integrals", gaudin),
-                       ("ekz_hamiltonian_hk", ado), ("ekz_operators", ado), ("commutator", spin),
+    for name, home in (("richardson_integral", gaudin), ("ekz_operators", ado), ("commutator", spin),
                        ("spectral_roots", do), ("b_vectors", ado), ("b_vector_stack", ado),
                        ("BVectorSet", ado), ("ekz_residual_check", ado)):
         original = getattr(home, name)
@@ -222,10 +221,9 @@ def test_verify_integrals_builds_each_operator_and_takes_each_commutator_once(tm
     few, many = _counts_at_two_draw_counts(
         tmp_path, op_counts, "verify-integrals", config, [config["gaudin"], config["ado"]])
     assert few == many
-    assert few["richardson_integrals"] == 1
+    assert few["richardson_integral"] == 1
     assert few["b_vector_stack"] == few["ekz_operators"] == 3
     assert few["commutator"] == math.comb(4, 2) + sum(math.comb(n, 2) for n in (2, 3, 4))
-    assert "richardson_integral" not in few and "ekz_hamiltonian_hk" not in few
 
 
 def test_eigenpairs_and_spectral_flow_solve_the_roots_once_per_time(op_counts):
@@ -254,7 +252,6 @@ def test_verify_ekz_builds_each_operator_and_takes_each_commutator_once(tmp_path
         k: v for k, v in many.items() if k != "ekz_residual_check"}
     assert few["ekz_operators"] == 1
     assert few["commutator"] == math.comb(4, 2)
-    assert "ekz_hamiltonian_hk" not in few
 
 
 def _verify_integrals_definitions(config: dict, seed: int) -> dict:
@@ -270,7 +267,7 @@ def _verify_integrals_definitions(config: dict, seed: int) -> dict:
             w = np.sort(rng.uniform(-2.0, 2.0, g_block["sites"]))
         for lam in g_block["lambda_values"]:
             spec = lzi.SpectralConfig(w=tuple(w), lam=lam, level_shift=g_block["level_shift"])
-            ops = [lzi.richardson_integral(l, spec, system) for l in range(g_block["sites"])]
+            ops = lzi.richardson_integral(range(g_block["sites"]), [spec], system)[:, 0]
             comm.append(lzi.verify_commuting(ops).max_defect)
             curv += [lzi.kz_flatness_residual(spec, system, la, lb)
                      for la, lb in itertools.combinations(range(g_block["sites"]), 2)]
@@ -286,19 +283,17 @@ def _verify_integrals_definitions(config: dict, seed: int) -> dict:
             v = lzi.coupling_matrix(p)
             v[0, 1] += a_block["break_parallelism"]
             v[1, 0] += a_block["break_parallelism"]
-            b = lzi.b_vectors(p, v)
+            b = lzi.b_vector_stack([p], [v])
             omega = float(rng.uniform(2.5, 4.0))
-            comm.append(_ekz_commutator_defect(b, n, omega))
+            comm.append(_ekz_commutator_defect(b, omega))
             curv += [lzi.zero_curvature_residual(b, i, j, omega)
                      for i, j in itertools.combinations([0] + list(range(2, n + 1)), 2)]
     out["ado"] = {cli.COMM: max(comm), cli.CURV: max(curv)}
     return out
 
 
-def _ekz_commutator_defect(b, n: int, omega: float) -> float:
-    ops = [lzi.ekz_hamiltonian_h1(b, omega)]
-    ops += [lzi.ekz_hamiltonian_hk(b, k, omega) for k in range(2, n + 1)]
-    return lzi.verify_commuting(ops).max_defect
+def _ekz_commutator_defect(b, omega: float) -> float:
+    return lzi.verify_commuting(lzi.ekz_operators(b, omega)).max_defect
 
 
 def _verify_ekz_definitions(config: dict, seed: int) -> dict:
@@ -312,7 +307,7 @@ def _verify_ekz_definitions(config: dict, seed: int) -> dict:
         omega = float(rng.uniform(-2.5, 2.5))
         if np.abs(omega - p.a).min() <= 0.5:
             continue
-        comm.append(_ekz_commutator_defect(b, p.n, omega))
+        comm.append(_ekz_commutator_defect(b, omega))
         curv += [lzi.zero_curvature_residual(b, i, j, omega)
                  for i, j in itertools.combinations(labels, 2)]
         for sol in sols:
@@ -352,11 +347,23 @@ def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
     config = {"schema_version": 1, "params": {"gamma": [1e160, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}}
     cfg = _write(tmp_path, "ekz.json", config)
     out = tmp_path / "report.json"
-    with np.errstate(all="ignore"):
-        assert _run(["verify-ekz", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "numerical error:" in err and "is nan" in err
+    assert _run(["verify-ekz", "--config", cfg, "--out", str(out)]) == 2
+    # the overflow itself prints nothing: the report names the first defect that is not finite
+    assert capsys.readouterr().err == (
+        "numerical error: verify-ekz (it skips omega draws within 0.5 of a flat level): "
+        "max_commutator_defect is nan at sample 1\n"
+    )
     assert not out.exists()
+
+
+def test_verify_integrals_with_an_overflowing_breakage_reports_quietly(tmp_path, capsys):
+    # a coupling of 1e300 overflows the norm inside the four-vector build; the defects stay finite
+    config = {"schema_version": 1, "ado": {"n_values": [2, 3], "draws": 3, "break_parallelism": 1e300}}
+    cfg = _write(tmp_path, "vi.json", config)
+    out = tmp_path / "report.json"
+    assert _run(["verify-integrals", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    assert not json.loads(out.read_text())["pass"]
 
 
 def test_verdict_keeps_a_nan_behind_a_larger_value():
@@ -592,6 +599,14 @@ def test_closed_form_frequency_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",") == ["omega", "re_0", "im_0", "re_1", "im_1", "modulus"]
     assert len(lines) == 11
+
+
+def test_closed_form_omega_on_a_flat_level_names_it_as_a_float(tmp_path, capsys):
+    config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
+              "omega_grid": {"start": 0.0, "stop": 2.0, "num": 3}}
+    cfg = _write(tmp_path, "cf.json", config)
+    assert _run(["closed-form", "--config", cfg, "--out", str(tmp_path / "cf.csv")]) == 2
+    assert capsys.readouterr().err == "numerical error: omega = a_2 = 1.0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -22,20 +22,20 @@ def _random_params(rng, n, gap=0.1):
 
 def test_hamiltonian_layout_two_levels():
     entries = lzi.DOHamiltonianEntries(a00=0.0, a0=[1.0], v0=[0.5])
-    h = lzi.build_do_hamiltonian(entries, t=0.0)
+    h = lzi.do_sweep(entries)(0.0).real
     assert np.array_equal(h, [[0.0, 0.5], [0.5, 1.0]])
 
 
 def test_hamiltonian_exactly_symmetric():
     entries = lzi.DOHamiltonianEntries(a00=0.3, a0=[1.0, -2.0, 0.4], v0=[0.5, 0.7, -0.2])
-    h = lzi.build_do_hamiltonian(entries, t=1.7)
+    h = lzi.do_sweep(entries)(1.7).real
     assert lzi.max_abs(h - h.T) == 0.0
 
 
 def test_hamiltonian_trace():
     entries = lzi.DOHamiltonianEntries(a00=0.3, a0=[1.0, -2.0], v0=[0.5, 0.7])
     t = 2.2
-    assert abs(np.trace(lzi.build_do_hamiltonian(entries, t)) - (t + 0.3 + 1.0 - 2.0)) < 1e-15
+    assert abs(np.trace(lzi.do_sweep(entries)(t).real) - (t + 0.3 + 1.0 - 2.0)) < 1e-15
 
 
 def test_entries_from_gamma_reference_point():
@@ -131,7 +131,7 @@ def test_shift_is_the_smallest_consistent_root_of_the_characteristic_polynomial(
         scale = max(1.0, abs(a00), float(np.abs(a0).max()))
         shifted = lzi.DOHamiltonianEntries(a00=a00 + shift, a0=a0 + shift, v0=v0)
         assert shifted.consistency_defect() <= 1e-12 * scale
-        roots = np.roots(np.poly(lzi.build_do_hamiltonian(entries, 0.0)))
+        roots = np.roots(np.poly(lzi.do_sweep(entries)(0.0).real))
         real = roots[np.abs(roots.imag) < 1e-8 * scale].real
         assert abs(shift + real[np.argmin(np.abs(real))]) <= 1e-9 * scale
 
@@ -202,7 +202,7 @@ def test_eigenpair_against_dense_solver_two_levels():
     p = lzi.DOParams(gamma=[1.0, 1.0], epsilon=[0.0, 1.0])
     entries = lzi.entries_from_gamma(p)
     for t in (-3.0, 0.5, 2.0):
-        h = lzi.build_do_hamiltonian(entries, t)
+        h = lzi.do_sweep(entries)(t).real
         oracle = np.sort(np.linalg.eigvalsh(h))
         ours = np.sort(lzi.eigenpairs(p, t)[0])
         assert np.allclose(ours, oracle, atol=1e-12)
@@ -215,7 +215,7 @@ def test_eigenpair_residuals_bulk():
     )
     entries = lzi.entries_from_gamma(p)
     for t in (-10.0, -1.0, 0.1, 1.0, 10.0):
-        h = lzi.build_do_hamiltonian(entries, t)
+        h = lzi.do_sweep(entries)(t).real
         energies, vecs = lzi.eigenpairs(p, t)
         assert np.linalg.norm(h @ vecs - vecs * energies, axis=0).max() < 1e-10
 
@@ -232,7 +232,7 @@ def test_exterior_branch_at_zero_time_is_exact_null_vector():
     p = lzi.DOParams(gamma=[1.0, 0.7, 0.4], epsilon=[0.0, 1.0, 2.0])
     energies, vecs = lzi.eigenpairs(p, 0.0)
     energy, vec = energies[2], vecs[:, 2]
-    h = lzi.build_do_hamiltonian(lzi.entries_from_gamma(p), 0.0)
+    h = lzi.do_sweep(lzi.entries_from_gamma(p))(0.0).real
     assert energy == 0.0
     assert np.linalg.norm(h @ vec) < 1e-14
     assert np.allclose(vec, p.gamma / np.linalg.norm(p.gamma), atol=0)
@@ -299,7 +299,7 @@ def test_bow_tie_sweep_matches_entries():
     sweep = lzi.bow_tie_sweep(r, base)
     for t in (-2.0, 0.0, 1.7):
         entries = lzi.DOHamiltonianEntries(a00=base.a00, a0=(r + 1.0) * t, v0=base.v0)
-        assert lzi.max_abs(sweep(t).real - lzi.build_do_hamiltonian(entries, t)) < 1e-14
+        assert lzi.max_abs(sweep(t).real - lzi.do_sweep(entries)(t).real) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ from lzi.errors import DegenerateSpectralError, NumericalError, SameSiteError
 
 
 def _richardson_set(cfg, system):
-    return [lzi.richardson_integral(l, cfg, system) for l in range(system.n_sites)]
+    return list(lzi.richardson_integral(range(system.n_sites), [cfg], system)[:, 0])
 
 
 def test_two_site_antisymmetry():
     system = lzi.SiteSystem.uniform(2)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0))
-    h0 = lzi.gaudin_integral(0, cfg, system)
-    h1 = lzi.gaudin_integral(1, cfg, system)
+    h0, h1 = _richardson_set(cfg, system)
     assert lzi.max_abs(h0 + h1) < 1e-15
     assert lzi.max_abs(h0 - lzi.dot_coupling(0, 1, system) / (0.0 - 1.0)) == 0.0
 
@@ -24,8 +23,7 @@ def test_two_site_antisymmetry():
 def test_three_site_commutativity():
     system = lzi.SiteSystem.uniform(3)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0, 2.0))
-    h0 = lzi.gaudin_integral(0, cfg, system)
-    h1 = lzi.gaudin_integral(1, cfg, system)
+    h0, h1 = lzi.richardson_integral([0, 1], [cfg], system)[:, 0]
     assert lzi.max_abs(lzi.commutator(h0, h1)) < 1e-12
 
 
@@ -34,17 +32,16 @@ def test_gaudin_integrals_sum_to_zero():
     system = lzi.SiteSystem.uniform(4)
     w = tuple(np.sort(rng.uniform(-2, 2, 4)))
     cfg = lzi.SpectralConfig(w=w)
-    total = sum(lzi.gaudin_integral(l, cfg, system) for l in range(4))
+    total = sum(_richardson_set(cfg, system))
     assert lzi.max_abs(total) < 1e-13
 
 
 def test_richardson_reduces_to_gaudin_at_zero_lambda():
+    # a lam = 0 config adds no Sz term at all, so R_l is the exchange sum G_l bit for bit
     system = lzi.SiteSystem.uniform(3)
     cfg = lzi.SpectralConfig(w=(0.0, 0.7, 1.9), lam=0.0)
-    for l in range(3):
-        assert np.array_equal(
-            lzi.richardson_integral(l, cfg, system), lzi.gaudin_integral(l, cfg, system)
-        )
+    for l, op in enumerate(_richardson_set(cfg, system)):
+        assert np.array_equal(op, _per_term(l, cfg, system, 1))
 
 
 def test_richardson_commutativity_three_sites():
@@ -136,7 +133,7 @@ def test_one_magnon_spectrum_of_the_richardson_integrals_matches_the_bethe_roots
 def test_verify_commuting_identical_operators():
     system = lzi.SiteSystem.uniform(2)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0))
-    op = lzi.gaudin_integral(0, cfg, system)
+    op = _richardson_set(cfg, system)[0]
     report = lzi.verify_commuting([op, op, op], tol=1e-12)
     assert report.max_defect == 0.0 and report.passed
 
@@ -146,7 +143,7 @@ def test_verify_commuting_detects_inconsistent_parameters():
     cfg = lzi.SpectralConfig(w=(0.0, 1.0, 2.0), lam=0.5)
     bad_cfg = lzi.SpectralConfig(w=(0.0, 1.3, 2.0), lam=0.5)
     ops = _richardson_set(cfg, system)
-    ops[1] = lzi.richardson_integral(1, bad_cfg, system)
+    ops[1] = lzi.richardson_integral([1], [bad_cfg], system)[0, 0]
     report = lzi.verify_commuting(ops, tol=1e-12)
     assert report.max_defect > 1e-3
     assert not report.passed
@@ -203,8 +200,8 @@ def test_derivative_matches_finite_differences_at_second_order():
         wp, wm = list(w), list(w)
         wp[0] += h
         wm[0] -= h
-        plus = lzi.richardson_integral(2, dataclasses.replace(cfg, w=tuple(wp)), system)
-        minus = lzi.richardson_integral(2, dataclasses.replace(cfg, w=tuple(wm)), system)
+        shifted = [dataclasses.replace(cfg, w=tuple(wp)), dataclasses.replace(cfg, w=tuple(wm))]
+        plus, minus = lzi.richardson_integral([2], shifted, system)[0]
         return lzi.max_abs((plus - minus) / (2 * h) - analytic)
 
     assert fd_error(1e-5) < 1e-8  # agreement at a small step
@@ -220,9 +217,9 @@ def test_scale_covariance():
     c = 1.7
     cfg = lzi.SpectralConfig(w=tuple(w))
     scaled = lzi.SpectralConfig(w=tuple(c * w))
+    ops = lzi.richardson_integral(range(3), [scaled, cfg], system)
     for l in range(3):
-        diff = lzi.gaudin_integral(l, scaled, system) - lzi.gaudin_integral(l, cfg, system) / c
-        assert lzi.max_abs(diff) < 1e-14
+        assert lzi.max_abs(ops[l, 0] - ops[l, 1] / c) < 1e-14
 
 
 def test_swap_antisymmetry_under_relabeling():
@@ -238,17 +235,16 @@ def test_swap_antisymmetry_under_relabeling():
         bits = [(idx >> k) & 1 for k in (2, 1, 0)]
         swapped = (bits[1] << 2) | (bits[0] << 1) | bits[2]
         perm[swapped, idx] = 1.0
-    h0 = lzi.gaudin_integral(0, cfg, system)
-    h1_swapped = lzi.gaudin_integral(1, cfg_swapped, system)
+    h0, h1_swapped = lzi.richardson_integral([0, 1], [cfg, cfg_swapped], system)[[0, 1], [0, 1]]
     assert lzi.max_abs(perm @ h0 @ perm.T - h1_swapped) < 1e-13
 
 
 def test_complex_parameters_accepted():
     system = lzi.SiteSystem.uniform(2)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0 + 0.5j))
-    h = lzi.gaudin_integral(0, cfg, system)
+    h, h1 = _richardson_set(cfg, system)
     assert lzi.hermiticity_defect(h) > 1e-3  # complex parameters break Hermiticity
-    assert lzi.max_abs(lzi.commutator(h, lzi.gaudin_integral(1, cfg, system))) < 1e-13
+    assert lzi.max_abs(lzi.commutator(h, h1)) < 1e-13
 
 
 def test_degenerate_parameters_rejected():
@@ -276,8 +272,7 @@ def test_families_equal_the_per_term_sums_bitwise(spins):
     sz = [lzi.embed(lzi.spin_generators(rep)[2], l, system) for l, rep in enumerate(system.reps)]
     for site in range(system.n_sites):
         g = _per_term(site, cfg, system, 1)
-        assert np.array_equal(lzi.gaudin_integral(site, cfg, system), g)
-        assert np.array_equal(lzi.richardson_integral(site, cfg, system), cfg.lam * sz[site] + g)
+        assert np.array_equal(lzi.richardson_integral([site], [cfg], system)[0, 0], cfg.lam * sz[site] + g)
         assert np.array_equal(
             lzi.richardson_derivative(site, cfg, system, wrt=site), -_per_term(site, cfg, system, 2)
         )
@@ -287,7 +282,7 @@ def test_families_equal_the_per_term_sums_bitwise(spins):
                 assert np.array_equal(lzi.richardson_derivative(site, cfg, system, wrt=other), expected)
     # the stacked build over several configs (lam = 0 included) equals the one-config sums
     cfgs = [cfg, lzi.SpectralConfig(w=tuple(w[::-1])), lzi.SpectralConfig(w=tuple(w + 0.5), lam=-1.3)]
-    stack = lzi.richardson_integrals(range(system.n_sites), cfgs, system)
+    stack = lzi.richardson_integral(range(system.n_sites), cfgs, system)
     for s, spec in enumerate(cfgs):
         for site in range(system.n_sites):
             g = _per_term(site, spec, system, 1)
@@ -296,9 +291,8 @@ def test_families_equal_the_per_term_sums_bitwise(spins):
 
 def test_mutating_a_returned_family_operator_leaves_the_next_call_unchanged():
     system = lzi.SiteSystem.uniform(3)
-    cfg = lzi.SpectralConfig(w=(0.0, 1.0, 2.5), lam=0.5)
-    for family in (lzi.gaudin_integral, lzi.richardson_integral):
-        first = family(1, cfg, system)
-        expected = first.copy()
-        first[...] = 7.0
-        assert np.array_equal(family(1, cfg, system), expected)
+    cfgs = [lzi.SpectralConfig(w=(0.0, 1.0, 2.5), lam=lam) for lam in (0.0, 0.5)]
+    first = lzi.richardson_integral([1], cfgs, system)
+    expected = first.copy()
+    first[...] = 7.0
+    assert np.array_equal(lzi.richardson_integral([1], cfgs, system), expected)
