@@ -251,7 +251,8 @@ def _ado_defects(block: dict, rng: np.random.Generator) -> dict:
     return {COMM: np.array(worst), CURV: np.array(worst)}
 
 
-# overflow and NaN stay silent: _verdict names the first defect that is not finite
+# invalid values surface as a NaN defect that _verdict names; overflow is muted
+# by choice, also where the defects it feeds stay finite
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)

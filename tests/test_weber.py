@@ -6,6 +6,8 @@ The 20 seeded sweeps alternate between two kinds:
 * a three-level ado model with one flat level, whose lab-frame U is the Weber
   U of its bright block (bright state and flat level) plus the exact phase of
   the dark state, both rotated back to the model's basis.
+Each sweep also carries the Weber U of -H, the propagator under the opposite
+sign convention exp(-i H t), which every engine must miss by order one.
 Windows start at -T and end at T times a factor in [0.5, 1], and T runs over
 10, 20, 50 and 200.  Each engine's bound is about 3.5 times its worst
 measured error over these sweeps; the reference engines skip T = 200, where
@@ -36,7 +38,8 @@ def _lz_pair(rng, t0, t1):
         slopes.reverse()
     a = np.array([[a11, g], [np.conj(g), a22]])
     d = np.diag(slopes).astype(complex)
-    return lzi.AffineHamiltonian(a, d), weber_propagator(a, d, t0, t1)
+    refs = [weber_propagator(sign * a, sign * d, t0, t1) for sign in (1, -1)]
+    return lzi.AffineHamiltonian(a, d), *refs
 
 
 def _ado_one_flat_level(rng, t0, t1):
@@ -45,17 +48,21 @@ def _ado_one_flat_level(rng, t0, t1):
     r = np.hypot(g0, g1)
     # columns: bright state (g0, g1)/r, dark state (g1, -g0)/r, flat level
     q = np.array([[g0, g1, 0.0], [g1, -g0, 0.0], [0.0, 0.0, r]]).T / r
-    u = np.zeros((3, 3), dtype=complex)
     # the bright state sits at r^2 + t and couples to the flat level a2 by g2 r
-    u[np.ix_([0, 2], [0, 2])] = weber_propagator([[r * r, g2 * r], [g2 * r, a2]],
-                                                 np.diag([1.0, 0.0]), t0, t1)
-    u[1, 1] = np.exp(0.5j * (t1 * t1 - t0 * t0))  # the dark state's energy is t
-    return lzi.ado_sweep(lzi.ADOParams(gamma=[g0, g1, g2], a=[a2])), q @ u @ q.T
+    block = np.array([[r * r, g2 * r], [g2 * r, a2]])
+    refs = []
+    for sign in (1, -1):
+        u = np.zeros((3, 3), dtype=complex)
+        u[np.ix_([0, 2], [0, 2])] = weber_propagator(sign * block, sign * np.diag([1.0, 0.0]),
+                                                     t0, t1)
+        u[1, 1] = np.exp(sign * 0.5j * (t1 * t1 - t0 * t0))  # the dark state's energy is t
+        refs.append(q @ u @ q.T)
+    return lzi.ado_sweep(lzi.ADOParams(gamma=[g0, g1, g2], a=[a2])), *refs
 
 
 @pytest.fixture(scope="module")
 def sweeps():
-    """(horizon, t0, t1, lzi sweep, Weber U) of each seeded sweep."""
+    """(horizon, t0, t1, lzi sweep, Weber U of H, Weber U of -H) of each seeded sweep."""
     out = []
     for k in range(20):
         rng = np.random.default_rng(1000 + k)
@@ -67,20 +74,20 @@ def sweeps():
 
 
 def test_weber_reference_is_unitary(sweeps):
-    for *_, reference in sweeps:
-        assert np.abs(reference.conj().T @ reference - np.eye(len(reference))).max() < 1e-14
+    for *_, reference, opposite in sweeps:
+        for u in (reference, opposite):
+            assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-14
 
 
 @pytest.mark.parametrize("method", BOUNDS)
 def test_two_level_propagation_matches_the_weber_propagator(sweeps, method):
     bound, _ = BOUNDS[method]
     worst = 0.0
-    for horizon, t0, t1, sweep, reference in sweeps:
+    for horizon, t0, t1, sweep, reference, opposite in sweeps:
         if method != "magnus4-fixed" and horizon > 50.0:
             continue
         spec = lzi.PropagationSpec(t0, t1, method=method, verify=False)
         u, _ = lzi.evolve_operator(sweep, spec)
         worst = max(worst, float(np.abs(u - reference).max()))
-        # the opposite sign convention, exp(-i H t), misses by order one
-        assert np.abs(u - np.conj(reference)).max() > 0.1
+        assert np.abs(u - opposite).max() > 0.1
     assert worst < bound
