@@ -4,7 +4,8 @@ Subcommands: verify-integrals, verify-ekz, spectral-flow, evolve,
 transition-matrix, lz-probability, closed-form.  Every command reads a JSON
 config (with a schema_version field), writes CSV or JSON to --out/stdout with
 all doubles printed to 17 significant digits, and is byte-deterministic for a
-fixed config and seed.
+fixed config.  The two verify commands draw their sample points from a `seed`
+config key (default 0), which `--seed` overrides; no other command takes one.
 
 Each `COMMANDS` entry pairs a handler with the JSON type and default of every
 config key it takes.  `_read` checks a config against them before the handler
@@ -13,8 +14,8 @@ runs: an unknown key, a missing required key or a value of the wrong JSON type
 and so is a number that is not finite (NaN, Infinity, or one that overflows).
 
 Exit codes: 0 success, 1 verification failure, 2 numerical/engine error,
-3 config error (including any config value the library rejects).  The env
-var LZI_THREADS (a positive integer) caps sweep parallelism.
+3 config error (including any config value the library rejects, and any
+malformed command line).
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -148,31 +147,18 @@ def _sweep_model(cfg: dict):
     return sweep, params.n + 1
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("LZI_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"LZI_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # verify-integrals / verify-ekz
 
 COMM, CURV, ODE = "max_commutator_defect", "max_curvature_residual", "max_ode_residual"
 
 
-def _verdict(defects: dict, tols: dict, override: float | None, suite: str) -> dict:
+def _verdict(defects: dict, tols: dict, suite: str) -> dict:
     """Each defect's largest value over the sampled points (defects[key][k]
     holds its values at point k, in draw order), and a pass flag that needs
-    every defect below its tolerance (or below --tolerance, which overrides
-    them all).  No point sampled is a config error, a defect that is not
-    finite a numerical error naming the first point where it is."""
-    if override is not None:
-        tols = dict.fromkeys(tols, override)
+    every defect below its tolerance.  No point sampled is a config error, a
+    defect that is not finite a numerical error naming the first point where
+    it is."""
     # each point's largest value; np.max keeps a NaN, which max() can drop
     worst = {key: np.max(values, axis=tuple(range(1, np.ndim(values))))
              for key, values in defects.items()}
@@ -254,14 +240,14 @@ def _ado_defects(block: dict, rng: np.random.Generator) -> dict:
 # invalid values surface as a NaN defect that _verdict names; overflow is muted
 # by choice, also where the defects it feeds stay finite
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_verify_integrals(cfg: dict, seed: int, tol: float | None):
-    rng = np.random.default_rng(seed)
+def cmd_verify_integrals(cfg: dict):
+    rng = np.random.default_rng(cfg["seed"])
     sections = {}
     for name, defects in (("gaudin", _gaudin_defects), ("ado", _ado_defects)):
         block = cfg[name]
         if block is not None:
             tols = {COMM: block["tolerance"], CURV: block["curvature_tolerance"]}
-            sections[name] = _verdict(defects(block, rng), tols, tol, f"{name} suite")
+            sections[name] = _verdict(defects(block, rng), tols, f"{name} suite")
     if not sections:
         raise ConfigError("verify-integrals config needs a 'gaudin' and/or 'ado' block")
     return _json_report(
@@ -295,20 +281,20 @@ def _ekz_defects(p: ado.ADOParams, draws: int, h: float, rng) -> dict:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_verify_ekz(cfg: dict, seed: int, tol: float | None):
+def cmd_verify_ekz(cfg: dict):
     block = cfg["tolerances"]
     tols = {COMM: block["commutator"], CURV: block["curvature"], ODE: block["ode_residual"]}
     p = ado.ADOParams(**cfg["params"])
-    defects = _ekz_defects(p, cfg["draws"], cfg["residual_step"], np.random.default_rng(seed))
+    defects = _ekz_defects(p, cfg["draws"], cfg["residual_step"], np.random.default_rng(cfg["seed"]))
     suite = "verify-ekz (it skips omega draws within 0.5 of a flat level)"
-    return _json_report(_verdict(defects, tols, tol, suite))
+    return _json_report(_verdict(defects, tols, suite))
 
 
 # ---------------------------------------------------------------------------
 # spectral-flow / evolve
 
 
-def cmd_spectral_flow(cfg: dict, seed: int, tol: float | None):
+def cmd_spectral_flow(cfg: dict):
     flow = do.track_spectral_flow(do.DOParams(**cfg["params"]), _grid(cfg["grid"], "grid"))
     nb = flow.branches.shape[1]
     header = ["t"] + [f"x_{m}" for m in range(nb)] + [f"E_{m}" for m in range(nb)]
@@ -319,7 +305,7 @@ def cmd_spectral_flow(cfg: dict, seed: int, tol: float | None):
     return _csv(header, rows), 0
 
 
-def cmd_evolve(cfg: dict, seed: int, tol: float | None):
+def cmd_evolve(cfg: dict):
     engine, grid = cfg["engine"], _grid(cfg["grid"], "grid")
     if engine != "oracle" and cfg["model"] != "ado":
         raise ConfigError("closed-form engine requires the ado model")
@@ -331,10 +317,12 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
     if not 0 <= init < dim:
         raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
 
+    if engine != "oracle":
+        sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
     if engine in ("oracle", "both"):
         psi0 = np.zeros(dim, dtype=complex)
         if engine == "both":
-            psi0[:2] = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), +1).xi
+            psi0[:2] = sol.xi  # the oracle starts in the spinor of the branch it is compared with
         else:
             psi0[init] = 1.0
         frame = propagator.InteractionPicture(sweep)
@@ -349,7 +337,6 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
         ]
 
     if engine in ("closed-form", "both"):
-        sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
         if engine == "closed-form":
             header = ["t", "cf_p_0", "cf_p_1", "cf_total"]
             rows = []
@@ -374,7 +361,7 @@ def cmd_evolve(cfg: dict, seed: int, tol: float | None):
 # transition-matrix / lz-probability
 
 
-def cmd_transition_matrix(cfg: dict, seed: int, tol: float | None):
+def cmd_transition_matrix(cfg: dict):
     sweep, dim = _sweep_model(cfg)
     horizon = cfg["T"]
     spec = propagator.PropagationSpec(-horizon, horizon, **cfg["propagation"])
@@ -402,7 +389,7 @@ def _sweep_points(sweep: dict) -> list:
     return pts
 
 
-def cmd_lz_probability(cfg: dict, seed: int, tol: float | None):
+def cmd_lz_probability(cfg: dict):
     points = _sweep_points(cfg["sweep"])
     a2, horizon, run_oracle = cfg["a2"], cfg["T"], cfg["oracle"]
     spec = propagator.PropagationSpec(-horizon, horizon, **cfg["propagation"])
@@ -419,8 +406,7 @@ def cmd_lz_probability(cfg: dict, seed: int, tol: float | None):
         oracle = float(result.matrix[2, 2])
         return (g0, g1, g2, formula, oracle, abs(formula - oracle))
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(one, points))
+    results = [one(point) for point in points]
     header = ["gamma_0", "gamma_1", "gamma_2", "P_formula", "P_oracle", "abs_delta"]
     return _csv(header, [[float(x) for x in row] for row in results]), 0
 
@@ -435,7 +421,7 @@ def _amplitude_row(x: float, amp: np.ndarray) -> list:
             float(amp[1].imag), float(np.linalg.norm(amp))]
 
 
-def cmd_closed_form(cfg: dict, seed: int, tol: float | None):
+def cmd_closed_form(cfg: dict):
     sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
     columns = ["re_0", "im_0", "re_1", "im_1", "modulus"]
     if (cfg["omega_grid"] is None) == (cfg["t_grid"] is None):
@@ -458,13 +444,14 @@ def cmd_closed_form(cfg: dict, seed: int, tol: float | None):
 
 def _command(handler, **keys):
     """A COMMANDS entry: the handler and the declaration of its config keys."""
-    return handler, {"schema_version": ((SCHEMA_VERSION,), REQUIRED), "seed": (int, 0), **keys}
+    return handler, {"schema_version": ((SCHEMA_VERSION,), REQUIRED), **keys}
 
 
-# every handler takes (cfg, seed, tolerance override) and returns (text, exit code)
+# every handler takes the read config and returns (text, exit code); only the
+# verify commands draw random samples, so only they declare a `seed`
 COMMANDS = {
     "verify-integrals": _command(
-        cmd_verify_integrals,
+        cmd_verify_integrals, seed=(int, 0),
         gaudin=({"sites": (int, 4), "spin": (float, 0.5), "draws": (int, 20),
                  "lambda_values": ([float], [0.0, 0.5, 2.0]), "level_shift": (float, 3.0),
                  "tolerance": (float, 1e-12), "curvature_tolerance": (float, 1e-12)}, None),
@@ -473,7 +460,8 @@ COMMANDS = {
               "break_parallelism": (float, 0.0)}, None),
     ),
     "verify-ekz": _command(
-        cmd_verify_ekz, params=(_ADO_PARAMS, REQUIRED), draws=(int, 50), residual_step=(float, 1e-4),
+        cmd_verify_ekz, seed=(int, 0), params=(_ADO_PARAMS, REQUIRED), draws=(int, 50),
+        residual_step=(float, 1e-4),
         tolerances=({"commutator": (float, 1e-13), "curvature": (float, 1e-12),
                      "ode_residual": (float, 1e-6)}, {}),
     ),
@@ -501,32 +489,35 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 3), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lzi", description="Multi-level Landau-Zener dynamics toolkit"
-    )
+    parser = _Parser(prog="lzi", description="Multi-level Landau-Zener dynamics toolkit")
+    parser.set_defaults(seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, declaration) in COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-        cmd.add_argument(
-            "--tolerance", type=float, default=None, help="override verification tolerances"
-        )
+        if "seed" in declaration:
+            cmd.add_argument("--seed", type=int, help="seed of the sample draws (overrides the config's)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler, declaration = COMMANDS[args.command]
     try:
-        if args.tolerance is not None and not 0.0 < args.tolerance < np.inf:
-            raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
+        args = _build_parser().parse_args(argv)
+        handler, declaration = COMMANDS[args.command]
         cfg = _read(_load_config(args.config), declaration, "")
-        seed = cfg["seed"] if args.seed is None else args.seed
-        text, code = handler(cfg, seed, args.tolerance)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        text, code = handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -232,28 +232,24 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def _mul(a: np.ndarray, b: np.ndarray, hermitian: bool = False) -> np.ndarray:
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stepwise product a @ b of two (d, d, N) stacks.
 
     Below _MATMUL_LEVELS levels this is d^3 multiply-adds on length-N rows,
-    several times faster than matmul, whose cost there is per-matrix overhead;
-    with `hermitian` (the caller knows every product is Hermitian) only the
-    upper triangle is summed, the lower one is its conjugate and the diagonal
-    is real.  From _MATMUL_LEVELS up the d^3 row operations cost more than
-    the overhead, and matmul multiplies the steps-first view.
+    several times faster than matmul, whose cost there is per-matrix overhead.
+    From _MATMUL_LEVELS up the d^3 row operations cost more than the
+    overhead, and matmul multiplies the steps-first view.
     """
     d = a.shape[0]
     if d >= _MATMUL_LEVELS:
         return _matmul(a, b)
     out = np.empty(a.shape[:2] + b.shape[2:], dtype=complex)
     for i in range(d):
-        for j in range(i if hermitian else 0, d):
+        for j in range(d):
             acc = a[i, 0] * b[0, j]
             for k in range(1, d):
                 acc += a[i, k] * b[k, j]
-            out[i, j] = acc.real if hermitian and i == j else acc
-            if hermitian and j > i:
-                np.conjugate(acc, out=out[j, i])
+            out[i, j] = acc
     return out
 
 
@@ -266,8 +262,7 @@ def _expm_i_batch(x: np.ndarray) -> np.ndarray:
     r^(m+1)/(m+1)! below 2^-53, raised to a multiple of p = ceil(sqrt(m)) so
     that the Paterson-Stockmeyer form, a polynomial in X^p with coefficients
     of degree below p, takes p + m/p - 2 stacked products.  The powers are
-    of X itself, with (i/2^s)^k folded into the Taylor coefficients, so each
-    is Hermitian and costs about half a product.
+    of X itself, with (i/2^s)^k folded into the Taylor coefficients.
     """
     r = np.abs(x).sum(axis=0).max(initial=0.0)
     squarings = int(np.ceil(np.log2(2.0 * r))) if r > 0.5 else 0
@@ -280,7 +275,7 @@ def _expm_i_batch(x: np.ndarray) -> np.ndarray:
     coef = [(1j / 2.0**squarings) ** k / math.factorial(k) for k in range(degree + 1)]
     powers = [x]
     for _ in range(span - 1):
-        powers.append(_mul(x, powers[-1], hermitian=True))
+        powers.append(_mul(x, powers[-1]))
     diag = np.arange(x.shape[0])
     u = coef[degree] * powers[-1]
     for j in reversed(range(degree // span)):

@@ -373,7 +373,20 @@ def test_verdict_keeps_a_nan_behind_a_larger_value():
                     {cli.COMM: np.array([[1e-14, 0.0], [nan, 1e-3], [1e-2, 0.0]]),
                      cli.CURV: np.array([1e-14, 1e-3, nan])}):
         with pytest.raises(NumericalError, match="max_commutator_defect is nan at sample 2"):
-            cli._verdict(defects, {cli.COMM: 1e-12, cli.CURV: 1e-12}, None, "suite")
+            cli._verdict(defects, {cli.COMM: 1e-12, cli.CURV: 1e-12}, "suite")
+
+
+@pytest.mark.parametrize("command", ["verify-integrals", "verify-ekz"])
+def test_seed_flag_overrides_the_config_seed(tmp_path, command):
+    def report(config_seed, *flag):
+        config = _VALID[command] if config_seed is None else dict(_VALID[command], seed=config_seed)
+        cfg = _write(tmp_path, "verify.json", config)
+        out = tmp_path / "report.json"
+        assert _run([command, "--config", cfg, *flag, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert report(7) == report(None, "--seed", "7") == report(3, "--seed", "7")
+    assert report(3) != report(7)  # the seed reaches the draws
 
 
 def test_verify_ekz_passes(tmp_path):
@@ -443,6 +456,18 @@ def test_evolve_both_engines_columns_and_delta(tmp_path):
     # both sloped-channel populations start at 1 and end near the closed form
     assert abs(first[5] - 1.0) < 1e-12 and first[6] < 1e-6
     assert last[6] < 0.06
+
+
+def test_evolve_both_engines_start_in_the_configured_branch(tmp_path):
+    # on the trivial branch the sloped channel keeps its population, and so must
+    # the oracle started in that branch's spinor
+    config = {"schema_version": 1, "model": "ado", "params": {"gamma": [0.3, 0.4, 0.5], "a": [0.0]},
+              "engine": "both", "branch": -1, "grid": {"start": -20.0, "stop": 20.0, "num": 5},
+              "propagation": {"theta": 0.25}, "quadrature": {"tolerance": 0.001, "initial_window": 48.0}}
+    out = tmp_path / "both.csv"
+    assert _run(["evolve", "--config", _write(tmp_path, "both.json", config), "--out", str(out)]) == 0
+    deltas = [float(line.split(",")[-1]) for line in out.read_text().strip().splitlines()[1:]]
+    assert max(deltas) < 1e-6
 
 
 def test_evolve_closed_form_engine(tmp_path):
@@ -554,7 +579,7 @@ def test_lz_probability_sweep(tmp_path):
     assert row2[3] == 1.0 and row2[4] == 1.0 and row2[5] == 0.0
 
 
-def test_lz_probability_thread_cap_is_deterministic(tmp_path, monkeypatch):
+def test_lz_probability_is_deterministic(tmp_path):
     cfg = _write(
         tmp_path,
         "lzp.json",
@@ -565,22 +590,10 @@ def test_lz_probability_thread_cap_is_deterministic(tmp_path, monkeypatch):
             "propagation": {"theta": 0.3},
         },
     )
-    out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-    monkeypatch.delenv("LZI_THREADS", raising=False)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert _run(["lz-probability", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("LZI_THREADS", "2")
     assert _run(["lz-probability", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_lz_probability_thread_cap_below_one_exits_three(tmp_path, capsys, monkeypatch, threads):
-    cfg = _write(tmp_path, "lzp.json", _VALID["lz-probability"])
-    monkeypatch.setenv("LZI_THREADS", threads)
-    assert _run(["lz-probability", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "LZI_THREADS" in err
-    assert not (tmp_path / "out").exists()
 
 
 def test_closed_form_frequency_table(tmp_path):
@@ -633,21 +646,39 @@ def test_missing_block_exits_three(tmp_path):
     assert _run(["spectral-flow", "--config", cfg]) == 3
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_non_positive_or_non_finite_tolerance_exits_three(tmp_path, capsys, value):
-    cfg = _write(tmp_path, "vi.json", _verify_config())
-    assert _run(["verify-integrals", "--config", cfg, "--tolerance", value]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+@pytest.mark.parametrize("args, message", [
+    pytest.param([], "the following arguments are required: command", id="no-command"),
+    pytest.param(["spectral-flow"], "the following arguments are required: --config", id="no-config"),
+    pytest.param(["spectral-flow", "--config", "flow.json", "--bogus"], "unrecognized arguments: --bogus",
+                 id="unknown-flag"),
+    pytest.param(["verify-ekz", "--config", "ekz.json", "--seed", "abc"],
+                 "argument --seed: invalid int value: 'abc'", id="seed-not-an-integer"),
+    # the tolerances are config keys only
+    pytest.param(["verify-integrals", "--config", "vi.json", "--tolerance", "1e-3"],
+                 "unrecognized arguments: --tolerance 1e-3", id="tolerance-flag"),
+])
+def test_usage_error_exits_three(capsys, args, message):
+    assert _run(args) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_tolerance_override_is_applied(tmp_path):
-    # a tight but positive override makes the suite fail its own defects (exit 1)
-    cfg = _write(tmp_path, "vi.json", _verify_config())
-    out = tmp_path / "report.json"
-    args = ["verify-integrals", "--config", cfg, "--tolerance", "1e-300", "--out", str(out)]
-    assert _run(args) == 1
-    assert json.loads(out.read_text())["pass"] is False
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        _run(["spectral-flow", "-h"])
+    assert exit_.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("how", ["config key", "flag"])
+@pytest.mark.parametrize("command", ["spectral-flow", "evolve", "transition-matrix", "lz-probability", "closed-form"])
+def test_seed_exits_three_on_commands_that_draw_nothing(tmp_path, capsys, command, how):
+    config = dict(_VALID[command], seed=1) if how == "config key" else _VALID[command]
+    cfg = _write(tmp_path, "cfg.json", config)
+    flag = ["--seed", "1"] if how == "flag" else []
+    assert _run([command, "--config", cfg, *flag, "--out", str(tmp_path / "out")]) == 3
+    expected = "unrecognized arguments: --seed 1" if how == "flag" else "unknown key 'seed'"
+    assert capsys.readouterr().err.startswith(f"config error: {expected}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [1.5, True, "1", None])
@@ -775,7 +806,6 @@ _CONFIG_ERRORS = {
     "ekz-draws-huge": ("verify-ekz", ("draws",), 1e400, None),
     "vi-sites-float": ("verify-integrals", ("gaudin", "sites"), 3.0, None),
     "vi-n-values-float": ("verify-integrals", ("ado", "n_values"), [2.5], None),
-    "flow-seed-float": ("spectral-flow", ("seed",), 1.5, None),
     # verifications that would check no point
     "ekz-no-draws": ("verify-ekz", ("draws",), 0, None),
     "ekz-flat-levels-cover-draws": (
@@ -787,6 +817,7 @@ _CONFIG_ERRORS = {
     # keys no command declares, and values of the wrong JSON type
     "tm-propagation-thetta": ("transition-matrix", ("propagation", "thetta"), 0.25, None),
     "vi-gaudin-k": ("verify-integrals", ("gaudin", "k"), 1, None),
+    "flow-seed-float": ("spectral-flow", ("seed",), 1.5, None),
     "cf-max-doublings-float": ("closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME),
     "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None),
     "tm-schema-version-true": ("transition-matrix", ("schema_version",), True, None),
