@@ -5,7 +5,8 @@ transition-matrix, lz-probability, closed-form.  Every command reads a JSON
 config (with a schema_version field), writes CSV or JSON to --out/stdout with
 all doubles printed to 17 significant digits, and is byte-deterministic for a
 fixed config.  The two verify commands draw their sample points from a `seed`
-config key (default 0), which `--seed` overrides; no other command takes one.
+config key (a non-negative integer, default 0), which `--seed` overrides; no
+other command takes one.
 
 Each `COMMANDS` entry pairs a handler with the JSON type and default of every
 config key it takes.  `_read` checks a config against them before the handler
@@ -307,9 +308,9 @@ def cmd_spectral_flow(cfg: dict):
 
 def cmd_evolve(cfg: dict):
     engine, grid = cfg["engine"], _grid(cfg["grid"], "grid")
-    if engine != "oracle" and cfg["model"] != "ado":
-        raise ConfigError("closed-form engine requires the ado model")
-    # the keys of both engines are checked whichever engine runs
+    if engine == "both" and cfg["model"] != "ado":
+        raise ConfigError("engine 'both' requires the ado model")
+    # the closed form's keys are checked also when only the oracle runs
     sweep, dim = _sweep_model(cfg)
     spec = propagator.PropagationSpec(grid[0], grid[-1], **cfg["propagation"])
     qspec = ado.QuadratureSpec(**cfg["quadrature"])
@@ -317,42 +318,31 @@ def cmd_evolve(cfg: dict):
     if not 0 <= init < dim:
         raise ConfigError(f"initial_state must be an integer in 0..{dim - 1}, got {init!r}")
 
-    if engine != "oracle":
+    psi0 = np.zeros(dim, dtype=complex)
+    if engine == "both":
         sol = ado.closed_form_solution(ado.ADOParams(**cfg["params"]), cfg["branch"])
-    if engine in ("oracle", "both"):
-        psi0 = np.zeros(dim, dtype=complex)
-        if engine == "both":
-            psi0[:2] = sol.xi  # the oracle starts in the spinor of the branch it is compared with
-        else:
-            psi0[init] = 1.0
-        frame = propagator.InteractionPicture(sweep)
-        traj = propagator.population_trajectory(
-            frame, frame.to_interaction(psi0, grid[0]), spec, grid
-        )
-        pops = np.abs(traj) ** 2
-        header = ["t", "total"] + [f"p_{j}" for j in range(dim)]
-        rows = [
-            [float(t), float(pops[k].sum())] + [float(x) for x in pops[k]]
-            for k, t in enumerate(grid)
-        ]
+        psi0[:2] = sol.xi  # the oracle starts in the spinor of the branch it is compared with
+    else:
+        psi0[init] = 1.0
+    frame = propagator.InteractionPicture(sweep)
+    traj = propagator.population_trajectory(frame, frame.to_interaction(psi0, grid[0]), spec, grid)
+    pops = np.abs(traj) ** 2
+    header = ["t", "total"] + [f"p_{j}" for j in range(dim)]
+    rows = [
+        [float(t), float(pops[k].sum())] + [float(x) for x in pops[k]]
+        for k, t in enumerate(grid)
+    ]
 
-    if engine in ("closed-form", "both"):
-        if engine == "closed-form":
-            header = ["t", "cf_p_0", "cf_p_1", "cf_total"]
-            rows = []
-            for t in grid:
-                amp = ado.time_domain_wavefunction(sol, float(t), qspec).amplitudes
-                mods = np.abs(amp) ** 2
-                rows.append([float(t), float(mods[0]), float(mods[1]), float(mods.sum())])
-        else:
-            # reversed-time sloped-channel population, normalized at the grid start
-            amps = [ado.time_domain_wavefunction(sol, -float(t), qspec).amplitudes for t in grid]
-            norms = np.array([np.linalg.norm(amp) ** 2 for amp in amps])
-            cf_pop = norms / norms[0]
-            header = header + ["cf_sloped", "abs_delta"]
-            for k in range(len(rows)):
-                oracle_sloped = rows[k][2] + rows[k][3]  # p_0 + p_1
-                rows[k] = rows[k] + [float(cf_pop[k]), float(abs(oracle_sloped - cf_pop[k]))]
+    if engine == "both":
+        # the closed form's time is the oracle's -t; its sloped-channel
+        # population is normalized at the grid start
+        amps = [ado.time_domain_wavefunction(sol, -float(t), qspec).amplitudes for t in grid]
+        norms = np.array([np.linalg.norm(amp) ** 2 for amp in amps])
+        cf_pop = norms / norms[0]
+        header = header + ["cf_sloped", "abs_delta"]
+        for k in range(len(rows)):
+            oracle_sloped = rows[k][2] + rows[k][3]  # p_0 + p_1
+            rows[k] = rows[k] + [float(cf_pop[k]), float(abs(oracle_sloped - cf_pop[k]))]
 
     return _csv(header, rows), 0
 
@@ -469,7 +459,7 @@ COMMANDS = {
         cmd_spectral_flow, model=(("do",), "do"), params=(_DO_PARAMS, REQUIRED), grid=(_GRID, REQUIRED)
     ),
     "evolve": _command(
-        cmd_evolve, **_MODEL, engine=(("oracle", "closed-form", "both"), "oracle"),
+        cmd_evolve, **_MODEL, engine=(("oracle", "both"), "oracle"),
         grid=(_GRID, REQUIRED), initial_state=(int, 0), branch=_BRANCH,
         propagation=(_PROPAGATION, {}), quadrature=(_QUADRATURE, {}),
     ),
@@ -498,11 +488,13 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lzi", description="Multi-level Landau-Zener dynamics toolkit")
+    # allow_abbrev=False: a flag has one spelling, not every prefix of it
+    parser = _Parser(prog="lzi", description="Multi-level Landau-Zener dynamics toolkit",
+                     allow_abbrev=False)
     parser.set_defaults(seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, declaration) in COMMANDS.items():
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--config", required=True, help="path to a JSON run config")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         if "seed" in declaration:
@@ -517,6 +509,8 @@ def main(argv=None) -> int:
         cfg = _read(_load_config(args.config), declaration, "")
         if args.seed is not None:
             cfg["seed"] = args.seed
+        if cfg.get("seed", 0) < 0:  # only the verify commands declare a seed
+            raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
         text, code = handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

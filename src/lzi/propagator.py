@@ -600,7 +600,7 @@ def population_trajectory(h, psi0, spec: PropagationSpec, sample_times) -> np.nd
 
 
 def transition_matrix(model, horizon: float, spec: PropagationSpec | None = None) -> TransitionResult:
-    """Diabatic transition probabilities for a sweep from -horizon to +horizon.
+    """Diabatic transition probabilities of an AffineHamiltonian from -horizon to +horizon.
 
     Propagates the full basis in the interaction picture once over [-2T, 2T],
     cut at -T and T so both horizons share the [-T, T] window, and extrapolates
@@ -611,7 +611,7 @@ def transition_matrix(model, horizon: float, spec: PropagationSpec | None = None
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    ip = model if isinstance(model, InteractionPicture) else InteractionPicture(model)
+    ip = InteractionPicture(model)
     base = spec or PropagationSpec(t0=-horizon, t1=horizon, verify=False)
     run = replace(base, t0=-2.0 * horizon, t1=2.0 * horizon)
     u_left, u_mid, u_right = (u for u, _ in _segments(ip, run, (-horizon, horizon)))

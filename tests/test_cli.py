@@ -389,6 +389,17 @@ def test_seed_flag_overrides_the_config_seed(tmp_path, command):
     assert report(3) != report(7)  # the seed reaches the draws
 
 
+@pytest.mark.parametrize("how", ["config key", "flag"])
+@pytest.mark.parametrize("command", ["verify-integrals", "verify-ekz"])
+def test_negative_seed_exits_three_naming_the_key(tmp_path, capsys, command, how):
+    config = dict(_VALID[command], seed=-1) if how == "config key" else _VALID[command]
+    cfg = _write(tmp_path, "verify.json", config)
+    flag = ["--seed", "-1"] if how == "flag" else []
+    assert _run([command, "--config", cfg, *flag, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "config error: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_ekz_passes(tmp_path):
     cfg = _write(
         tmp_path,
@@ -468,28 +479,6 @@ def test_evolve_both_engines_start_in_the_configured_branch(tmp_path):
     assert _run(["evolve", "--config", _write(tmp_path, "both.json", config), "--out", str(out)]) == 0
     deltas = [float(line.split(",")[-1]) for line in out.read_text().strip().splitlines()[1:]]
     assert max(deltas) < 1e-6
-
-
-def test_evolve_closed_form_engine(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "cf.json",
-        {
-            "schema_version": 1,
-            "model": "ado",
-            "params": {"gamma": [0.3, 0.4, 0.5], "a": [0.0]},
-            "engine": "closed-form",
-            "branch": -1,
-            "grid": {"start": -5.0, "stop": 5.0, "num": 3},
-            "quadrature": {"tolerance": 0.001},
-        },
-    )
-    out = tmp_path / "cf.csv"
-    assert _run(["evolve", "--config", cfg, "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["t", "cf_p_0", "cf_p_1", "cf_total"]
-    totals = [float(line.split(",")[3]) for line in lines[1:]]
-    assert max(totals) / min(totals) - 1.0 < 1e-2  # trivial branch: constant modulus
 
 
 @pytest.mark.parametrize("command", ["evolve", "transition-matrix"])
@@ -614,6 +603,26 @@ def test_closed_form_frequency_table(tmp_path):
     assert len(lines) == 11
 
 
+def test_closed_form_time_table_on_the_trivial_branch_has_flat_modulus(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "cf.json",
+        {
+            "schema_version": 1,
+            "params": {"gamma": [0.3, 0.4, 0.5], "a": [0.0]},
+            "branch": -1,
+            "t_grid": {"start": -5.0, "stop": 5.0, "num": 3},
+            "quadrature": {"tolerance": 0.001},
+        },
+    )
+    out = tmp_path / "cf.csv"
+    assert _run(["closed-form", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].split(",")[-1] == "error_estimate"
+    moduli = [float(line.split(",")[5]) for line in lines[1:]]
+    assert len(moduli) == 3 and max(moduli) / min(moduli) - 1.0 < 1e-2
+
+
 def test_closed_form_omega_on_a_flat_level_names_it_as_a_float(tmp_path, capsys):
     config = {"schema_version": 1, "params": {"gamma": [0.3, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
               "omega_grid": {"start": 0.0, "stop": 2.0, "num": 3}}
@@ -656,6 +665,11 @@ def test_missing_block_exits_three(tmp_path):
     # the tolerances are config keys only
     pytest.param(["verify-integrals", "--config", "vi.json", "--tolerance", "1e-3"],
                  "unrecognized arguments: --tolerance 1e-3", id="tolerance-flag"),
+    # a flag has one spelling: argparse would otherwise take any unique prefix of it
+    pytest.param(["verify-ekz", "--conf", "ekz.json"], "the following arguments are required: --config",
+                 id="config-abbreviated"),
+    pytest.param(["verify-ekz", "--config", "ekz.json", "--se", "5"], "unrecognized arguments: --se 5",
+                 id="seed-abbreviated"),
 ])
 def test_usage_error_exits_three(capsys, args, message):
     assert _run(args) == 3
@@ -772,7 +786,7 @@ _CF_TIME = dict(
     quadrature={"tolerance": 0.01},
 )
 _CF_TIME.pop("omega_grid")
-_EVOLVE_CF = dict(_VALID["evolve"], model="ado", params=_ADO, engine="closed-form")
+_EVOLVE_BOTH = dict(_VALID["evolve"], model="ado", params=_ADO, engine="both")
 
 # (command, path, value, base config if not the command's valid one)
 _CONFIG_ERRORS = {
@@ -823,6 +837,8 @@ _CONFIG_ERRORS = {
     "tm-schema-version-true": ("transition-matrix", ("schema_version",), True, None),
     "flow-model-x": ("spectral-flow", ("model",), "x", None),
     "flow-model-ado": ("spectral-flow", ("model",), "ado", None),
+    # a retired engine: the real-time closed-form table is the closed-form command's t_grid
+    "evolve-engine-closed-form": ("evolve", ("engine",), "closed-form", _EVOLVE_BOTH),
     "tm-T-string": ("transition-matrix", ("T",), "5", None),
     "tm-T-integer-too-large-for-a-float": ("transition-matrix", ("T",), 10**400, None),
     # json writes and reads NaN and Infinity, which are not JSON numbers
@@ -838,12 +854,13 @@ _CONFIG_ERRORS = {
     ),
     "evolve-oracle-branch-five": ("evolve", ("branch",), 5, None),
     "evolve-oracle-negative-quadrature-tolerance": ("evolve", ("quadrature",), {"tolerance": -1}, None),
+    # the engine that compares with the closed form starts in its branch spinor, not in initial_state
     "evolve-closed-form-oracle-keys": (
-        "evolve", ("propagation",), {"theta": -1, "method": "euler"}, dict(_EVOLVE_CF, initial_state=7)
+        "evolve", ("propagation",), {"theta": -1, "method": "euler"}, dict(_EVOLVE_BOTH, initial_state=7)
     ),
-    "evolve-closed-form-initial-state-seven": ("evolve", ("initial_state",), 7, _EVOLVE_CF),
-    "evolve-closed-form-negative-theta": ("evolve", ("propagation", "theta"), -1, _EVOLVE_CF),
-    "evolve-closed-form-method-euler": ("evolve", ("propagation", "method"), "euler", _EVOLVE_CF),
+    "evolve-closed-form-initial-state-seven": ("evolve", ("initial_state",), 7, _EVOLVE_BOTH),
+    "evolve-closed-form-negative-theta": ("evolve", ("propagation", "theta"), -1, _EVOLVE_BOTH),
+    "evolve-closed-form-method-euler": ("evolve", ("propagation", "method"), "euler", _EVOLVE_BOTH),
     # a coupling whose square overflows: the sweep's A gets an infinite entry
     "tm-ado-gamma-squared-overflows": ("transition-matrix", ("params", "gamma"), [1e160, 0.4, 0.5], None),
     "evolve-ado-gamma-squared-overflows": (

@@ -388,6 +388,7 @@ def test_plain_callable_is_rejected_naming_affine_hamiltonian():
         lambda h: lzi.InteractionPicture(h),
         # a frame is not a lab-frame sweep either
         lambda h: lzi.InteractionPicture(lzi.InteractionPicture(sweep)),
+        lambda h: lzi.transition_matrix(lzi.InteractionPicture(sweep), 1.0),
     ]
     messages = set()
     for call in calls:
