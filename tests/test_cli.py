@@ -144,6 +144,19 @@ def test_verify_integrals_runs_only_the_suite_given(tmp_path, suite, block, expe
     assert report["pass"] is (expected == 0)
 
 
+def test_gaudin_curvature_residual_keeps_its_size_under_a_negative_level_shift(tmp_path):
+    # kz_flatness_residual divides inside max_abs, so the sign of level_shift drops out;
+    # the R_l do not depend on it, so both runs check the same operators
+    residuals = []
+    for shift in (0.5, -0.5):
+        block = {"sites": 3, "draws": 2, "lambda_values": [0.0, 0.5], "level_shift": shift}
+        cfg = _write(tmp_path, "vi.json", {"schema_version": 1, "gaudin": block})
+        out = tmp_path / "report.json"
+        assert _run(["verify-integrals", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        residuals.append(json.loads(out.read_text())[cli.CURV])
+    assert residuals[0] == residuals[1] > 0.0
+
+
 def test_verify_integrals_deterministic_with_seed(tmp_path):
     cfg = _write(tmp_path, "vi.json", _verify_config())
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -268,10 +281,10 @@ def _verify_integrals_definitions(config: dict, seed: int) -> dict:
         for lam in g_block["lambda_values"]:
             spec = lzi.SpectralConfig(w=tuple(w), lam=lam, level_shift=g_block["level_shift"])
             ops = lzi.richardson_integral(range(g_block["sites"]), [spec], system)[:, 0]
-            comm.append(lzi.verify_commuting(ops).max_defect)
+            comm.append(lzi.verify_commuting(ops))
             curv += [lzi.kz_flatness_residual(spec, system, la, lb)
                      for la, lb in itertools.combinations(range(g_block["sites"]), 2)]
-    out = {"gaudin": {cli.COMM: max(comm), cli.CURV: max(curv)}}
+    out = {"gaudin": {cli.COMM: float(np.max(comm)), cli.CURV: float(np.max(curv))}}
     comm, curv = [], []
     for n in a_block["n_values"]:
         for _ in range(a_block["draws"]):
@@ -288,12 +301,12 @@ def _verify_integrals_definitions(config: dict, seed: int) -> dict:
             comm.append(_ekz_commutator_defect(b, omega))
             curv += [lzi.zero_curvature_residual(b, i, j, omega)
                      for i, j in itertools.combinations([0] + list(range(2, n + 1)), 2)]
-    out["ado"] = {cli.COMM: max(comm), cli.CURV: max(curv)}
+    out["ado"] = {cli.COMM: float(np.max(comm)), cli.CURV: float(np.max(curv))}
     return out
 
 
 def _ekz_commutator_defect(b, omega: float) -> float:
-    return lzi.verify_commuting(lzi.ekz_operators(b, omega)).max_defect
+    return np.max(lzi.verify_commuting(lzi.ekz_operators(b, omega)))
 
 
 def _verify_ekz_definitions(config: dict, seed: int) -> dict:
@@ -313,7 +326,7 @@ def _verify_ekz_definitions(config: dict, seed: int) -> dict:
         for sol in sols:
             r, r_a = lzi.ekz_residual_check(sol, omega, h=config["residual_step"])
             ode += [r, *r_a]
-    return {cli.COMM: max(comm), cli.CURV: max(curv), cli.ODE: max(ode)}
+    return {cli.COMM: float(np.max(comm)), cli.CURV: float(np.max(curv)), cli.ODE: float(np.max(ode))}
 
 
 @pytest.mark.parametrize(
@@ -353,6 +366,22 @@ def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
         "numerical error: verify-ekz (it skips omega draws within 0.5 of a flat level): "
         "max_commutator_defect is nan at sample 1\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, first", [
+    ({"omega_grid": {"start": 0.1, "stop": 0.2, "num": 2}}, "omega = 0.10000000000000001"),
+    ({"t_grid": {"start": -1.0, "stop": 1.0, "num": 2}, "quadrature": {"tolerance": 0.01}}, "t = -1"),
+], ids=["omega-grid", "t-grid"])
+def test_closed_form_non_finite_row_exits_2_naming_its_grid_value(tmp_path, capsys, grid, first):
+    # gamma_0^2 overflows, so every amplitude is NaN; no row is written and no numpy warning printed
+    config = {"schema_version": 1, "params": {"gamma": [1e160, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
+              "branch": 1, **grid}
+    cfg = _write(tmp_path, "cf.json", config)
+    out = tmp_path / "amplitudes.csv"
+    assert _run(["closed-form", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical error: closed-form: the row at {first} is not finite\n"
     assert not out.exists()
 
 
@@ -788,89 +817,130 @@ _CF_TIME = dict(
 _CF_TIME.pop("omega_grid")
 _EVOLVE_BOTH = dict(_VALID["evolve"], model="ado", params=_ADO, engine="both")
 
-# (command, path, value, base config if not the command's valid one)
+# (command, path, value, base config if not the command's valid one, a fragment of
+# the message: the key at fault, or the library's own words where no key is named)
 _CONFIG_ERRORS = {
     # values the library's own argument checks reject
-    "flow-num-string": ("spectral-flow", ("grid", "num"), "15", None),
-    "flow-gamma-string": ("spectral-flow", ("params", "gamma"), "ab", None),
-    "flow-gamma-epsilon-lengths": ("spectral-flow", ("params", "epsilon"), [0.0, 1.0], None),
-    "tm-negative-T": ("transition-matrix", ("T",), -5, None),
-    "tm-unknown-method": ("transition-matrix", ("propagation", "method"), "euler", None),
-    "tm-negative-rtol": ("transition-matrix", ("propagation", "rtol"), -1, None),
-    "tm-ado-two-gammas": ("transition-matrix", ("params", "gamma"), [0.3, 0.4], None),
-    "tm-params-number": ("transition-matrix", ("params",), 5, None),
-    "cf-negative-quadrature-tolerance": ("closed-form", ("quadrature", "tolerance"), -1, _CF_TIME),
-    "cf-branch-two": ("closed-form", ("branch",), 2, None),
-    "lzp-points-number": ("lz-probability", ("sweep", "points"), 5, None),
-    "vi-ado-one-level": ("verify-integrals", ("ado", "n_values"), [1], None),
-    "vi-seed-string": ("verify-integrals", ("seed",), "x", None),
-    # a negative step control used to give a silently wrong table
-    "tm-negative-theta": ("transition-matrix", ("propagation", "theta"), -1, None),
-    "tm-negative-base-step": ("transition-matrix", ("propagation", "base_step"), -0.01, None),
-    "tm-zero-theta": ("transition-matrix", ("propagation", "theta"), 0, None),
-    # blocks that are not JSON objects
-    "tm-propagation-number": ("transition-matrix", ("propagation",), 5, None),
-    "cf-quadrature-string": ("closed-form", ("quadrature",), "x", _CF_TIME),
-    "vi-gaudin-number": ("verify-integrals", ("gaudin",), 5, None),
-    "ekz-tolerances-number": ("verify-ekz", ("tolerances",), 3, None),
-    # integer fields given a non-integer
-    "cf-branch-float": ("closed-form", ("branch",), -1.5, None),
-    "flow-num-float": ("spectral-flow", ("grid", "num"), 2.7, None),
-    "flow-num-huge": ("spectral-flow", ("grid", "num"), 1e400, None),
-    "ekz-draws-huge": ("verify-ekz", ("draws",), 1e400, None),
-    "vi-sites-float": ("verify-integrals", ("gaudin", "sites"), 3.0, None),
-    "vi-n-values-float": ("verify-integrals", ("ado", "n_values"), [2.5], None),
-    # verifications that would check no point
-    "ekz-no-draws": ("verify-ekz", ("draws",), 0, None),
-    "ekz-flat-levels-cover-draws": (
-        "verify-ekz", ("params",), {"gamma": [0.3] * 7, "a": [-2.0, -1.0, 0.0, 1.0, 2.0]}, None
+    "flow-num-string": ("spectral-flow", ("grid", "num"), "15", None, "grid.num must be a JSON integer"),
+    "flow-gamma-string": ("spectral-flow", ("params", "gamma"), "ab", None, "params.gamma must be a JSON array"),
+    "flow-gamma-epsilon-lengths": (
+        "spectral-flow", ("params", "epsilon"), [0.0, 1.0], None, "gamma and epsilon must have equal length"
     ),
-    "ekz-zero-residual-step": ("verify-ekz", ("residual_step",), 0, None),
-    "vi-gaudin-no-draws": ("verify-integrals", ("gaudin", "draws"), 0, None),
-    "vi-ado-no-n-values": ("verify-integrals", ("ado", "n_values"), [], None),
+    "tm-negative-T": ("transition-matrix", ("T",), -5, None, "need t0 < t1, got [5.0, -5.0]"),
+    "tm-unknown-method": ("transition-matrix", ("propagation", "method"), "euler", None, "unknown method 'euler'"),
+    "tm-negative-rtol": ("transition-matrix", ("propagation", "rtol"), -1, None, "rtol must be positive"),
+    "tm-ado-two-gammas": (
+        "transition-matrix", ("params", "gamma"), [0.3, 0.4], None, "need at least gamma_0, gamma_1"
+    ),
+    "tm-params-number": ("transition-matrix", ("params",), 5, None, "params must be a JSON object"),
+    "cf-negative-quadrature-tolerance": (
+        "closed-form", ("quadrature", "tolerance"), -1, _CF_TIME, "tolerance must be positive"
+    ),
+    "cf-branch-two": ("closed-form", ("branch",), 2, None, "branch must be one of 1, -1, got 2"),
+    "lzp-points-number": ("lz-probability", ("sweep", "points"), 5, None, "sweep.points must be a JSON array"),
+    "vi-ado-one-level": ("verify-integrals", ("ado", "n_values"), [1], None, "need at least gamma_0, gamma_1"),
+    "vi-seed-string": ("verify-integrals", ("seed",), "x", None, "seed must be a JSON integer"),
+    # a negative step control used to give a silently wrong table
+    "tm-negative-theta": ("transition-matrix", ("propagation", "theta"), -1, None, "theta must be positive"),
+    "tm-negative-base-step": (
+        "transition-matrix", ("propagation", "base_step"), -0.01, None, "base_step must be positive"
+    ),
+    "tm-zero-theta": ("transition-matrix", ("propagation", "theta"), 0, None, "theta must be positive"),
+    # blocks that are not JSON objects
+    "tm-propagation-number": ("transition-matrix", ("propagation",), 5, None, "propagation must be a JSON object"),
+    "cf-quadrature-string": ("closed-form", ("quadrature",), "x", _CF_TIME, "quadrature must be a JSON object"),
+    "vi-gaudin-number": ("verify-integrals", ("gaudin",), 5, None, "gaudin must be a JSON object"),
+    "ekz-tolerances-number": ("verify-ekz", ("tolerances",), 3, None, "tolerances must be a JSON object"),
+    # integer fields given a non-integer
+    "cf-branch-float": ("closed-form", ("branch",), -1.5, None, "branch must be one of 1, -1, got -1.5"),
+    "flow-num-float": ("spectral-flow", ("grid", "num"), 2.7, None, "grid.num must be a JSON integer"),
+    # json writes 1e400 as Infinity, which the config reader refuses before any key
+    "flow-num-huge": ("spectral-flow", ("grid", "num"), 1e400, None, "numbers must be finite, got Infinity"),
+    "ekz-draws-huge": ("verify-ekz", ("draws",), 1e400, None, "numbers must be finite, got Infinity"),
+    "vi-sites-float": ("verify-integrals", ("gaudin", "sites"), 3.0, None, "gaudin.sites must be a JSON integer"),
+    "vi-n-values-float": (
+        "verify-integrals", ("ado", "n_values"), [2.5], None, "ado.n_values[0] must be a JSON integer"
+    ),
+    # verifications that would check no point
+    "ekz-no-draws": ("verify-ekz", ("draws",), 0, None, "flat level) checked no point"),
+    "ekz-flat-levels-cover-draws": (
+        "verify-ekz", ("params",), {"gamma": [0.3] * 7, "a": [-2.0, -1.0, 0.0, 1.0, 2.0]}, None,
+        "flat level) checked no point",
+    ),
+    "ekz-zero-residual-step": ("verify-ekz", ("residual_step",), 0, None, "residual step h must be positive"),
+    "vi-gaudin-no-draws": ("verify-integrals", ("gaudin", "draws"), 0, None, "gaudin suite checked no point"),
+    "vi-ado-no-n-values": ("verify-integrals", ("ado", "n_values"), [], None, "ado suite checked no point"),
     # keys no command declares, and values of the wrong JSON type
-    "tm-propagation-thetta": ("transition-matrix", ("propagation", "thetta"), 0.25, None),
-    "vi-gaudin-k": ("verify-integrals", ("gaudin", "k"), 1, None),
-    "flow-seed-float": ("spectral-flow", ("seed",), 1.5, None),
-    "cf-max-doublings-float": ("closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME),
-    "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None),
-    "tm-schema-version-true": ("transition-matrix", ("schema_version",), True, None),
-    "flow-model-x": ("spectral-flow", ("model",), "x", None),
-    "flow-model-ado": ("spectral-flow", ("model",), "ado", None),
+    "tm-propagation-thetta": (
+        "transition-matrix", ("propagation", "thetta"), 0.25, None, "unknown key 'propagation.thetta'"
+    ),
+    "vi-gaudin-k": ("verify-integrals", ("gaudin", "k"), 1, None, "unknown key 'gaudin.k'"),
+    "flow-seed-float": ("spectral-flow", ("seed",), 1.5, None, "unknown key 'seed'"),
+    "cf-max-doublings-float": (
+        "closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME, "unknown key 'quadrature.max_doublings'"
+    ),
+    "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None, "oracle must be a JSON boolean"),
+    "tm-schema-version-true": (
+        "transition-matrix", ("schema_version",), True, None, "schema_version must be one of 1, got True"
+    ),
+    "flow-model-x": ("spectral-flow", ("model",), "x", None, "model must be one of 'do', got 'x'"),
+    "flow-model-ado": ("spectral-flow", ("model",), "ado", None, "model must be one of 'do', got 'ado'"),
     # a retired engine: the real-time closed-form table is the closed-form command's t_grid
-    "evolve-engine-closed-form": ("evolve", ("engine",), "closed-form", _EVOLVE_BOTH),
-    "tm-T-string": ("transition-matrix", ("T",), "5", None),
-    "tm-T-integer-too-large-for-a-float": ("transition-matrix", ("T",), 10**400, None),
+    "evolve-engine-closed-form": (
+        "evolve", ("engine",), "closed-form", _EVOLVE_BOTH, "engine must be one of 'oracle', 'both'"
+    ),
+    "tm-T-string": ("transition-matrix", ("T",), "5", None, "T must be a JSON number"),
+    "tm-T-integer-too-large-for-a-float": (
+        "transition-matrix", ("T",), 10**400, None, "int too large to convert to float"
+    ),
     # json writes and reads NaN and Infinity, which are not JSON numbers
     "tm-rtol-nan-with-verify": (
         "transition-matrix", ("propagation",),
-        {"theta": 0.25, "rtol": float("nan"), "verify": True}, None,
+        {"theta": 0.25, "rtol": float("nan"), "verify": True}, None, "numbers must be finite, got NaN",
     ),
-    "tm-T-infinity": ("transition-matrix", ("T",), float("inf"), None),
-    "cf-quadrature-tolerance-nan": ("closed-form", ("quadrature", "tolerance"), float("nan"), _CF_TIME),
+    "tm-T-infinity": ("transition-matrix", ("T",), float("inf"), None, "numbers must be finite, got Infinity"),
+    "cf-quadrature-tolerance-nan": (
+        "closed-form", ("quadrature", "tolerance"), float("nan"), _CF_TIME, "numbers must be finite, got NaN"
+    ),
     # keys of the engine that does not run
     "evolve-oracle-closed-form-keys": (
-        "evolve", ("quadrature",), {"tolerance": -1}, dict(_VALID["evolve"], branch=5)
+        "evolve", ("quadrature",), {"tolerance": -1}, dict(_VALID["evolve"], branch=5),
+        "branch must be one of 1, -1, got 5",
     ),
-    "evolve-oracle-branch-five": ("evolve", ("branch",), 5, None),
-    "evolve-oracle-negative-quadrature-tolerance": ("evolve", ("quadrature",), {"tolerance": -1}, None),
+    "evolve-oracle-branch-five": ("evolve", ("branch",), 5, None, "branch must be one of 1, -1, got 5"),
+    "evolve-oracle-negative-quadrature-tolerance": (
+        "evolve", ("quadrature",), {"tolerance": -1}, None, "tolerance must be positive"
+    ),
     # the engine that compares with the closed form starts in its branch spinor, not in initial_state
     "evolve-closed-form-oracle-keys": (
-        "evolve", ("propagation",), {"theta": -1, "method": "euler"}, dict(_EVOLVE_BOTH, initial_state=7)
+        "evolve", ("propagation",), {"theta": -1, "method": "euler"}, dict(_EVOLVE_BOTH, initial_state=7),
+        "unknown method 'euler'",
     ),
-    "evolve-closed-form-initial-state-seven": ("evolve", ("initial_state",), 7, _EVOLVE_BOTH),
-    "evolve-closed-form-negative-theta": ("evolve", ("propagation", "theta"), -1, _EVOLVE_BOTH),
-    "evolve-closed-form-method-euler": ("evolve", ("propagation", "method"), "euler", _EVOLVE_BOTH),
+    "evolve-closed-form-initial-state-seven": (
+        "evolve", ("initial_state",), 7, _EVOLVE_BOTH, "initial_state must be an integer in 0..2, got 7"
+    ),
+    "evolve-closed-form-negative-theta": (
+        "evolve", ("propagation", "theta"), -1, _EVOLVE_BOTH, "theta must be positive"
+    ),
+    "evolve-closed-form-method-euler": (
+        "evolve", ("propagation", "method"), "euler", _EVOLVE_BOTH, "unknown method 'euler'"
+    ),
     # a coupling whose square overflows: the sweep's A gets an infinite entry
-    "tm-ado-gamma-squared-overflows": ("transition-matrix", ("params", "gamma"), [1e160, 0.4, 0.5], None),
+    "tm-ado-gamma-squared-overflows": (
+        "transition-matrix", ("params", "gamma"), [1e160, 0.4, 0.5], None, "A has non-finite entries"
+    ),
     "evolve-ado-gamma-squared-overflows": (
-        "evolve", ("params", "gamma"), [1e160, 0.4, 0.5], dict(_VALID["evolve"], model="ado", params=_ADO)
+        "evolve", ("params", "gamma"), [1e160, 0.4, 0.5], dict(_VALID["evolve"], model="ado", params=_ADO),
+        "A has non-finite entries",
     ),
     # mutually exclusive keys
-    "cf-omega-grid-and-t-grid": ("closed-form", ("t_grid",), _CF_TIME["t_grid"], None),
+    "cf-omega-grid-and-t-grid": (
+        "closed-form", ("t_grid",), _CF_TIME["t_grid"], None, "exactly one of 'omega_grid' and 't_grid'"
+    ),
     "lzp-points-and-gamma-lists": (
         "lz-probability", ("sweep",),
         {"points": [[0.3, 0.4, 0.5]], "gamma0": [0.3], "gamma1": [0.4], "gamma2": [0.5]}, None,
+        "sweep needs 'points' or gamma0/1/2 lists, got points, gamma0",
     ),
 }
 
@@ -882,11 +952,14 @@ _CONFIG_ERRORS = {
     for case in sorted(_CONFIG_ERRORS)
 ])
 def test_rejected_config_exits_three_without_traceback(tmp_path, capsys, case):
-    command, path, value, base = _CONFIG_ERRORS[case]
+    # each case must fail on its own key: the config error prefix alone would pass a
+    # case that fails on another key first
+    command, path, value, base, fragment = _CONFIG_ERRORS[case]
     cfg = _write(tmp_path, "bad.json", _mutated(command, path, value, base))
     assert _run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert fragment in err, err
     assert not (tmp_path / "out").exists()
 
 

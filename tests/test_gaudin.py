@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lzi
-from lzi.errors import DegenerateSpectralError, NumericalError, SameSiteError
+from lzi.errors import DegenerateSpectralError, SameSiteError
 
 
 def _richardson_set(cfg, system):
@@ -48,8 +48,8 @@ def test_richardson_commutativity_three_sites():
     system = lzi.SiteSystem.uniform(3)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0, 2.0), lam=0.7)
     ops = _richardson_set(cfg, system)
-    report = lzi.verify_commuting(ops, tol=1e-12)
-    assert report.passed and report.max_defect < 1e-12
+    defects = lzi.verify_commuting(ops)
+    assert defects.shape == (3,) and np.max(defects) < 1e-12
 
 
 def test_richardson_two_site_sum_identity():
@@ -125,7 +125,7 @@ def test_one_magnon_spectrum_of_the_richardson_integrals_matches_the_bethe_roots
         predicted = _bethe_rows(w, lam)
         worst = max(worst, _row_mismatch(predicted, _one_magnon_rows(ops, system)))
         mutated = [op + 0.1 * op @ op for op in ops]
-        assert lzi.verify_commuting(mutated, tol=1e-12).passed
+        assert np.max(lzi.verify_commuting(mutated)) < 1e-12
         control = min(control, _row_mismatch(predicted, _one_magnon_rows(mutated, system)))
     assert worst < bound < control
 
@@ -134,8 +134,8 @@ def test_verify_commuting_identical_operators():
     system = lzi.SiteSystem.uniform(2)
     cfg = lzi.SpectralConfig(w=(0.0, 1.0))
     op = _richardson_set(cfg, system)[0]
-    report = lzi.verify_commuting([op, op, op], tol=1e-12)
-    assert report.max_defect == 0.0 and report.passed
+    assert np.array_equal(lzi.verify_commuting([op, op, op]), np.zeros(3))
+    assert lzi.verify_commuting([op]).shape == (0,)  # one operator has no pair
 
 
 def test_verify_commuting_detects_inconsistent_parameters():
@@ -144,15 +144,48 @@ def test_verify_commuting_detects_inconsistent_parameters():
     bad_cfg = lzi.SpectralConfig(w=(0.0, 1.3, 2.0), lam=0.5)
     ops = _richardson_set(cfg, system)
     ops[1] = lzi.richardson_integral([1], [bad_cfg], system)[0, 0]
-    report = lzi.verify_commuting(ops, tol=1e-12)
-    assert report.max_defect > 1e-3
-    assert not report.passed
+    # pairs in combinations order: (0, 1) and (1, 2) hold the mismatched R_1
+    defects = lzi.verify_commuting(ops)
+    assert defects[0] > 1e-3 and defects[2] > 1e-3
+    assert defects[1] < 1e-12
 
 
-def test_verify_commuting_raises_on_a_nan_defect_naming_the_pair():
-    # NaN > worst is False, so the check must come before that comparison
-    with pytest.raises(NumericalError, match=r"pair \(0, 1\) is nan"):
-        lzi.verify_commuting([np.full((2, 2), np.nan), np.eye(2)])
+def test_verify_commuting_keeps_a_nan_defect_in_its_pair_slot():
+    # a NaN must not be folded away (NaN > worst is False); the caller names it
+    ops = np.stack([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2)])
+    defects = lzi.verify_commuting(ops)
+    assert np.isnan(defects[0]) and np.isnan(defects[2]) and defects[1] == 0.0
+
+
+def _richardson_stack(*w_rows):
+    cfgs = [lzi.SpectralConfig(w=w, lam=lam) for w in w_rows for lam in (0.0, 1.5)]
+    return lzi.richardson_integral(range(4), cfgs, lzi.SiteSystem.uniform(4))
+
+
+def _broken_ekz_stack():
+    params = [lzi.ADOParams(gamma=g, a=[1.0, 2.5]) for g in ([0.3, 0.4, 0.5, 0.2], [0.6, 0.2, 0.9, 0.4])]
+    tables = [lzi.coupling_matrix(p) for p in params]
+    for v in tables:
+        v[0, 1] += 0.1
+        v[1, 0] += 0.1
+    return lzi.ekz_operators(lzi.b_vector_stack(params, tables), np.array([-0.7, 3.1]))
+
+
+@pytest.mark.parametrize("stack", [
+    pytest.param(lambda: _richardson_stack((-1.2, 0.1, 0.8, 1.9), (-0.4, 0.3, 1.1, 1.6)),
+                 id="richardson-real-w"),
+    pytest.param(lambda: _richardson_stack((-1.2, 0.1 + 0.3j, 0.8, 1.9 - 0.2j)), id="richardson-complex-w"),
+    pytest.param(_broken_ekz_stack, id="ekz-broken-parallelism"),
+])
+def test_stacked_verify_commuting_equals_the_per_pair_per_sample_loop(stack):
+    ops = stack()
+    defects = lzi.verify_commuting(ops)
+    pairs = list(itertools.combinations(range(ops.shape[0]), 2))
+    assert defects.shape == (ops.shape[1], len(pairs))
+    loop = [[lzi.max_abs(lzi.commutator(ops[i, s], ops[j, s])) for i, j in pairs]
+            for s in range(ops.shape[1])]
+    assert np.array_equal(defects, np.array(loop))
+    assert np.max(defects) > 0.0
 
 
 def test_flatness_two_sites():
