@@ -76,7 +76,10 @@ def _read(value, kind, where: str):
     if not isinstance(kind, dict):
         if type(value) is not kind and not (kind is float and type(value) is int):
             raise ConfigError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-        return float(value) if kind is float else value
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:  # a JSON integer beyond the largest double
+            raise ConfigError(f"{where} is an integer too large for a float") from None
     if not isinstance(value, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object, got {value!r}")
     prefix = f"{where}." if where else ""
@@ -108,9 +111,7 @@ _ADO_PARAMS = {"gamma": ([float], REQUIRED), "a": ([float], REQUIRED)}
 # the `params` of a command with a `model` key, declared per model and read after it
 _MODEL_PARAMS = {"do": _DO_PARAMS, "bow-tie": dict(_DO_PARAMS, r=([float], REQUIRED)), "ado": _ADO_PARAMS}
 _MODEL = {"model": (tuple(_MODEL_PARAMS), REQUIRED), "params": (_MODEL_PARAMS, REQUIRED)}
-# the CLI propagates without the half-step rerun unless a config asks for it
-_PROPAGATION = dict(_spec_keys(propagator.PropagationSpec, "rtol", "method", "base_step", "theta"),
-                    verify=(bool, False))
+_PROPAGATION = _spec_keys(propagator.PropagationSpec, "rtol", "method", "base_step", "theta", "verify")
 _QUADRATURE = _spec_keys(ado.QuadratureSpec)
 _BRANCH = ((1, -1), 1)  # the spinor branch m of the closed form
 
@@ -295,7 +296,7 @@ def cmd_evolve(cfg: dict):
         raise ConfigError("engine 'both' requires the ado model")
     # the closed form's keys are checked also when only the oracle runs
     sweep, dim = _sweep_model(cfg)
-    spec = propagator.PropagationSpec(grid[0], grid[-1], **cfg["propagation"])
+    spec = propagator.PropagationSpec(**cfg["propagation"])
     qspec = ado.QuadratureSpec(**cfg["quadrature"])
     init = cfg["initial_state"]
     if not 0 <= init < dim:
@@ -307,8 +308,7 @@ def cmd_evolve(cfg: dict):
         psi0[:2] = sol.xi  # the oracle starts in the spinor of the branch it is compared with
     else:
         psi0[init] = 1.0
-    frame = propagator.InteractionPicture(sweep)
-    traj = propagator.population_trajectory(frame, frame.to_interaction(psi0, grid[0]), spec, grid)
+    traj = propagator.population_trajectory(propagator.InteractionPicture(sweep), psi0, grid, spec)
     pops = np.abs(traj) ** 2
     header = ["t", "total"] + [f"p_{j}" for j in range(dim)]
     rows = [
@@ -336,12 +336,10 @@ def cmd_evolve(cfg: dict):
 
 def cmd_transition_matrix(cfg: dict):
     sweep, dim = _sweep_model(cfg)
-    horizon = cfg["T"]
-    spec = propagator.PropagationSpec(-horizon, horizon, **cfg["propagation"])
-    result = propagator.transition_matrix(sweep, horizon, spec)
+    result = propagator.transition_matrix(sweep, cfg["T"], propagator.PropagationSpec(**cfg["propagation"]))
     header = ["T_used", "initial", "final", "p_at_T", "p_at_2T", "p_extrapolated"]
     rows = [
-        [float(result.T_used), i, f, float(result.matrix_at_T[f, i]),
+        [cfg["T"], i, f, float(result.matrix_at_T[f, i]),
          float(result.matrix_at_2T[f, i]), float(result.matrix[f, i])]
         for i in range(dim)
         for f in range(dim)
@@ -365,7 +363,7 @@ def _sweep_points(sweep: dict) -> list:
 def cmd_lz_probability(cfg: dict):
     points = _sweep_points(cfg["sweep"])
     a2, horizon, run_oracle = cfg["a2"], cfg["T"], cfg["oracle"]
-    spec = propagator.PropagationSpec(-horizon, horizon, **cfg["propagation"])
+    spec = propagator.PropagationSpec(**cfg["propagation"])
 
     def one(point):
         g0, g1, g2 = point

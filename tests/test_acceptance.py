@@ -29,7 +29,7 @@ def test_criterion_1_lz_probability_reproduction():
     details = []
     for g0, g1, g2 in cases:
         params = lzi.ADOParams(gamma=[g0, g1, g2], a=[0.0])
-        spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+        spec = lzi.PropagationSpec(theta=0.25, verify=False)
         result = lzi.transition_matrix(lzi.ado_sweep(params), horizon, spec)
         oracle = float(result.matrix[2, 2])
         formula = lzi.lz_probability(g0, g1, g2)
@@ -205,13 +205,13 @@ def test_criterion_7_oracle_self_checks():
     a = np.array([[0.0, coupling], [coupling, 0.0]])
     sweep = lzi.AffineHamiltonian(a, np.diag([1.0, 0.0]))
 
-    spec = lzi.PropagationSpec(t0=-8.0, t1=8.0, rtol=1e-9)
-    u, _ = lzi.evolve_operator(sweep, spec)
+    spec = lzi.PropagationSpec(rtol=1e-9, verify=True)
+    u, _ = lzi.evolve_operator(sweep, -8.0, 8.0, spec)
     unitarity = lzi.max_abs(u @ u.conj().T - np.eye(2))
 
-    tight = lzi.PropagationSpec(t0=-6.0, t1=6.0, rtol=1e-10, base_step=0.002, theta=0.02)
-    u_lab, _ = lzi.evolve_operator(sweep, tight)
-    u_rot, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), tight)
+    tight = lzi.PropagationSpec(rtol=1e-10, base_step=0.002, theta=0.02, verify=True)
+    u_lab, _ = lzi.evolve_operator(sweep, -6.0, 6.0, tight)
+    u_rot, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), -6.0, 6.0, tight)
     gauge = float(np.abs(np.abs(u_lab) ** 2 - np.abs(u_rot) ** 2).max())
 
     orders_ok = True

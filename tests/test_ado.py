@@ -528,8 +528,8 @@ def test_two_flat_levels_survival_three_way():
     psi0 = np.zeros(4, dtype=complex)
     psi0[:2] = xi_plus
     frame = lzi.InteractionPicture(lzi.ado_sweep(p))
-    spec = lzi.PropagationSpec(t0=-40.0, t1=40.0, theta=0.25, verify=False)
-    u, _ = lzi.evolve_operator(frame, spec)
+    spec = lzi.PropagationSpec(theta=0.25, verify=False)
+    u, _ = lzi.evolve_operator(frame, -40.0, 40.0, spec)
     pops = np.abs(u @ frame.to_interaction(psi0, -40.0)) ** 2
     assert abs(pops[0] + pops[1] - expected) < 2e-2
 

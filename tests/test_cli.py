@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -525,6 +526,14 @@ def test_verify_runs_the_step_halving_check_in_every_propagating_command(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_propagation_block_is_the_spec_without_its_step_cap():
+    # each setting has one default, the spec's; max_steps is the library's own guard
+    fields = dataclasses.fields(lzi.PropagationSpec)
+    spec = {f.name: (type(f.default), f.default) for f in fields if f.name != "max_steps"}
+    for command in ("evolve", "transition-matrix", "lz-probability"):
+        assert cli.COMMANDS[command][1]["propagation"] == (spec, {})
+
+
 # ---------------------------------------------------------------------------
 # transition-matrix / lz-probability / closed-form
 
@@ -826,7 +835,7 @@ _CONFIG_ERRORS = {
     "flow-gamma-epsilon-lengths": (
         "spectral-flow", ("params", "epsilon"), [0.0, 1.0], None, "gamma and epsilon must have equal length"
     ),
-    "tm-negative-T": ("transition-matrix", ("T",), -5, None, "need t0 < t1, got [5.0, -5.0]"),
+    "tm-negative-T": ("transition-matrix", ("T",), -5, None, "horizon must be positive"),
     "tm-unknown-method": ("transition-matrix", ("propagation", "method"), "euler", None, "unknown method 'euler'"),
     "tm-negative-rtol": ("transition-matrix", ("propagation", "rtol"), -1, None, "rtol must be positive"),
     "tm-ado-two-gammas": (
@@ -891,7 +900,7 @@ _CONFIG_ERRORS = {
     ),
     "tm-T-string": ("transition-matrix", ("T",), "5", None, "T must be a JSON number"),
     "tm-T-integer-too-large-for-a-float": (
-        "transition-matrix", ("T",), 10**400, None, "int too large to convert to float"
+        "transition-matrix", ("T",), 10**400, None, "T is an integer too large for a float"
     ),
     # json writes and reads NaN and Infinity, which are not JSON numbers
     "tm-rtol-nan-with-verify": (

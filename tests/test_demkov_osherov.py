@@ -377,7 +377,7 @@ def test_transition_table_matches_the_oracle_on_every_entry():
     # exact one, within the first-order horizon bound of that entry plus 1e-6
     # for the integrator (its tables sit within 4e-8 of DOP853 at theta 0.25)
     horizon = 50.0
-    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+    spec = lzi.PropagationSpec(theta=0.25, verify=False)
     models = _table_models()
     negative = decoupled = 0
     for params in models:

@@ -43,12 +43,12 @@ def _diag_spread(h, t):
     return diag.max() - diag.min()
 
 
-def _marching_grid(rate, spec):
+def _marching_grid(rate, t0, t1, spec):
     """Reference grid: one step at a time, each sized by its left end."""
-    ts = [spec.t0]
-    while ts[-1] < spec.t1:
+    ts = [t0]
+    while ts[-1] < t1:
         step = min(spec.base_step, spec.theta / (1.0 + rate(ts[-1])))
-        ts.append(min(ts[-1] + step, spec.t1))
+        ts.append(min(ts[-1] + step, t1))
     return np.asarray(ts)
 
 
@@ -113,9 +113,9 @@ def test_taylor_exponential_of_empty_stack_and_zero_matrix(count):
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 216, 217, 218, 511, 512, 513, 2047, 2048])
 def test_pairwise_product_matches_sequential_left_multiplication(length):
     # at three levels a product level takes matmul from 4 * 3^3 = 108 products
-    # (217 factors) down; six levels are held steps first, as `_stack` holds them
+    # (217 factors) down; eight levels are held steps first, as `_stack` holds them
     rng = np.random.default_rng(length)
-    for dim in (3, 6):
+    for dim in (3, 8):
         mats = _expm_i_batch(_hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, length)))
         if dim >= propagator._MATMUL_LEVELS:
             mats = np.ascontiguousarray(mats.transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -200,9 +200,9 @@ def test_only_two_level_magnus4_skips_the_taylor_path(method, model, monkeypatch
             propagator, name, lambda *args, real=real, name=name: calls.add(name) or real(*args)
         )
     sweep = {"lz": _offset_pair_sweep(), "bow-tie-2": BOW_TIE2}[model]
-    spec = lzi.PropagationSpec(t0=-2.0, t1=2.0, method=method, verify=False)
+    spec = lzi.PropagationSpec(method=method, verify=False)
     for frame in (sweep, lzi.InteractionPicture(sweep)):
-        lzi.evolve_operator(frame, spec)
+        lzi.evolve_operator(frame, -2.0, 2.0, spec)
     if model == "lz" and method == "magnus4-fixed":
         assert calls == set()
     else:  # RK4 takes no exponential
@@ -217,7 +217,7 @@ def _einsum_product(a, b):
 @pytest.mark.parametrize("matmul_levels", [propagator._MATMUL_LEVELS, 9])
 def test_stacked_product_matches_per_step_product(dim, matmul_levels, monkeypatch):
     # with the threshold at 9 every size takes the d^3 row loop; at its
-    # default, 5 and 8 levels take matmul on the steps-first view
+    # default, 8 levels take matmul on the steps-first view
     monkeypatch.setattr(propagator, "_MATMUL_LEVELS", matmul_levels)
     rng = np.random.default_rng(dim)
     x = _hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, 33))
@@ -242,7 +242,7 @@ def test_eight_level_operator_is_the_same_on_either_layout(monkeypatch):
 def test_zero_hamiltonian_is_identity():
     h = lzi.AffineHamiltonian(np.zeros((3, 3)), np.zeros((3, 3)))
     psi0 = np.array([0.2, 0.5 + 0.1j, -0.3])
-    psi1 = lzi.evolve_operator(h, lzi.PropagationSpec(t0=0.0, t1=2.0))[0] @ psi0
+    psi1 = lzi.evolve_operator(h, 0.0, 2.0, lzi.PropagationSpec(verify=True))[0] @ psi0
     assert np.abs(psi1 - psi0).max() < 1e-14
 
 
@@ -252,7 +252,7 @@ def test_sign_convention_against_matrix_exponential():
     h = lzi.AffineHamiltonian(sz, np.zeros((2, 2)))
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     t1 = 0.7
-    psi1 = lzi.evolve_operator(h, lzi.PropagationSpec(t0=0.0, t1=t1, rtol=1e-10))[0] @ psi0
+    psi1 = lzi.evolve_operator(h, 0.0, t1, lzi.PropagationSpec(rtol=1e-10, verify=True))[0] @ psi0
     ref = expm(1j * sz * t1) @ psi0
     assert np.abs(psi1 - ref).max() < 1e-12
 
@@ -262,14 +262,15 @@ def test_constant_sz_dephases_to_orthogonal_state_at_quarter_period():
     sz = np.diag([1.0, -1.0])
     h = lzi.AffineHamiltonian(sz, np.zeros((2, 2)))
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    psi1 = lzi.evolve_operator(h, lzi.PropagationSpec(t0=0.0, t1=np.pi / 2, rtol=1e-10))[0] @ psi0
+    spec = lzi.PropagationSpec(rtol=1e-10, verify=True)
+    psi1 = lzi.evolve_operator(h, 0.0, np.pi / 2, spec)[0] @ psi0
     assert abs(np.vdot(psi0, psi1)) ** 2 < 1e-20
 
 
 def test_unitarity_of_evolved_operator():
     sweep = _lz_sweep()
-    spec = lzi.PropagationSpec(t0=-8.0, t1=8.0, rtol=1e-9)
-    u, _ = lzi.evolve_operator(sweep, spec)
+    spec = lzi.PropagationSpec(rtol=1e-9, verify=True)
+    u, _ = lzi.evolve_operator(sweep, -8.0, 8.0, spec)
     assert lzi.max_abs(u @ u.conj().T - np.eye(2)) < 1e-8
 
 
@@ -279,8 +280,8 @@ def test_norm_drift_over_a_million_steps():
     # 8.1e-11 for the raw products
     sweep = _lz_sweep()
     for method in ("magnus2-fixed", "cf4-fixed"):
-        spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, method=method, base_step=1e-5, theta=1e9, verify=False)
-        u, _ = lzi.evolve_operator(sweep, spec)
+        spec = lzi.PropagationSpec(method=method, base_step=1e-5, theta=1e9, verify=False)
+        u, _ = lzi.evolve_operator(sweep, -5.0, 5.0, spec)
         psi = u @ np.array([1.0, 0.0])
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
         assert lzi.max_abs(u @ u.conj().T - np.eye(2)) < 1e-12, method
@@ -289,8 +290,8 @@ def test_norm_drift_over_a_million_steps():
 def test_taylor_path_unitarity_does_not_drift_on_four_levels():
     # 250k magnus4 steps on one 4-level block: 1.6e-14 with the polar factor
     # of each batch product, 2.6e-11 without
-    spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, base_step=4e-5, theta=1e9, verify=False)
-    u, _ = lzi.evolve_operator(DO3, spec)
+    spec = lzi.PropagationSpec(base_step=4e-5, theta=1e9, verify=False)
+    u, _ = lzi.evolve_operator(DO3, -5.0, 5.0, spec)
     assert lzi.max_abs(u @ u.conj().T - np.eye(4)) < 1e-12
 
 
@@ -298,8 +299,8 @@ def test_magnus4_norm_drift_over_a_million_steps():
     # the 2-level SU(2) kernel over 489 batches, each product renormalised:
     # the unitarity defect measures 8.0e-14 here (5.9e-11 on the Taylor path)
     sweep = _lz_sweep()
-    spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, base_step=1e-5, theta=1e9, verify=False)
-    u, _ = lzi.evolve_operator(sweep, spec)
+    spec = lzi.PropagationSpec(base_step=1e-5, theta=1e9, verify=False)
+    u, _ = lzi.evolve_operator(sweep, -5.0, 5.0, spec)
     psi = u @ np.array([1.0, 0.0])
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
     assert lzi.max_abs(u @ u.conj().T - np.eye(2)) < 1e-12
@@ -353,9 +354,9 @@ def test_pair_table_evaluation_matches_the_dense_frame(dim):
 
 def test_gauge_invariance_of_probabilities():
     sweep = _lz_sweep()
-    spec = lzi.PropagationSpec(t0=-6.0, t1=6.0, rtol=1e-10, base_step=0.002, theta=0.02)
-    lab, _ = lzi.evolve_operator(sweep, spec)
-    rotated, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), spec)
+    spec = lzi.PropagationSpec(rtol=1e-10, base_step=0.002, theta=0.02, verify=True)
+    lab, _ = lzi.evolve_operator(sweep, -6.0, 6.0, spec)
+    rotated, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), -6.0, 6.0, spec)
     assert np.abs(np.abs(lab) ** 2 - np.abs(rotated) ** 2).max() < 1e-9
 
 
@@ -368,9 +369,9 @@ def test_frame_conversion_for_composite_states():
     ip = lzi.InteractionPicture(sweep)
     psi_lab = np.array([0.6, 0.8, 0.0], dtype=complex)
     t0, t1 = -9.0, 9.0
-    spec = lzi.PropagationSpec(t0=t0, t1=t1, rtol=1e-9, theta=0.05)
-    u_lab, _ = lzi.evolve_operator(sweep, spec)
-    u_ip, _ = lzi.evolve_operator(ip, spec)
+    spec = lzi.PropagationSpec(rtol=1e-9, theta=0.05, verify=True)
+    u_lab, _ = lzi.evolve_operator(sweep, t0, t1, spec)
+    u_ip, _ = lzi.evolve_operator(ip, t0, t1, spec)
     direct = u_lab @ psi_lab
     # back in the lab frame at t1: multiply by exp(+i Lambda(t1))
     to_lab = np.exp(1j * sweep.diag_phase_integral(np.array([t1]))[0])
@@ -378,12 +379,26 @@ def test_frame_conversion_for_composite_states():
     assert np.abs(direct - via_frame).max() < 1e-8
 
 
+def test_frame_trajectory_starts_from_the_lab_frame_state():
+    # a composite spinor on the ado sloped pair, whose levels carry different
+    # diagonal phases: the frame converts it at the first sample itself
+    params = lzi.ADOParams(gamma=[0.3, 0.55, 0.4], a=[0.2])
+    sweep = lzi.ado_sweep(params)
+    psi0 = np.zeros(3, dtype=complex)
+    psi0[:2] = lzi.closed_form_solution(params, 1).xi
+    samples = np.linspace(-9.0, 6.0, 6)
+    spec = lzi.PropagationSpec(rtol=1e-9, theta=0.05, verify=True)
+    lab = lzi.population_trajectory(sweep, psi0, samples, spec)
+    frame = lzi.population_trajectory(lzi.InteractionPicture(sweep), psi0, samples, spec)
+    assert np.abs(np.abs(frame) ** 2 - np.abs(lab) ** 2).max() < 1e-8
+
+
 def test_plain_callable_is_rejected_naming_affine_hamiltonian():
     sweep = _lz_sweep()
-    spec = lzi.PropagationSpec(t0=-1.0, t1=1.0)
+    spec = lzi.PropagationSpec(verify=True)
     calls = [
-        lambda h: lzi.evolve_operator(h, spec),
-        lambda h: lzi.population_trajectory(h, [1.0, 0.0], spec, [-1.0, 1.0]),
+        lambda h: lzi.evolve_operator(h, -1.0, 1.0, spec),
+        lambda h: lzi.population_trajectory(h, [1.0, 0.0], [-1.0, 1.0], spec),
         lambda h: lzi.transition_matrix(h, 1.0),
         lambda h: lzi.InteractionPicture(h),
         # a frame is not a lab-frame sweep either
@@ -420,12 +435,13 @@ def test_fixed_step_convergence_orders(method, order):
 @pytest.mark.parametrize("case", sorted(GRID_CASES))
 def test_vectorised_grid_keeps_left_end_budget_and_marching_count(case):
     frame, rate, half, theta, excess = GRID_CASES[case]
-    spec = lzi.PropagationSpec(t0=-2.0 * half, t1=2.0 * half, theta=theta)
-    ts = _time_grid(frame, spec, cuts=(-half, half))
-    assert ts[0] == spec.t0 and ts[-1] == spec.t1 and {-half, half} <= set(ts)
+    spec = lzi.PropagationSpec(theta=theta, verify=True)
+    edges = np.array([-2.0, -1.0, 1.0, 2.0]) * half
+    ts = _time_grid(frame, spec, edges)
+    assert ts[0] == edges[0] and ts[-1] == edges[-1] and {-half, half} <= set(ts)
     rates = np.array([rate(t) for t in ts[:-1]])
     assert np.all(np.diff(ts) <= np.minimum(spec.base_step, spec.theta / (1.0 + rates)))
-    marching = _marching_grid(rate, spec)
+    marching = _marching_grid(rate, edges[0], edges[-1], spec)
     assert abs(ts.size - marching.size) <= excess * marching.size
 
 
@@ -437,8 +453,8 @@ def test_step_budget_checked_before_building_the_grid():
 
 
 def test_transition_matrix_budget_counts_the_whole_run():
-    spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, theta=0.25)
-    steps = _time_grid(lzi.InteractionPicture(_lz_sweep()), replace(spec, t0=-10.0, t1=10.0)).size
+    spec = lzi.PropagationSpec(theta=0.25, verify=True)
+    steps = _time_grid(lzi.InteractionPicture(_lz_sweep()), spec, np.array([-10.0, 10.0])).size
     with pytest.raises(NumericalError):
         lzi.transition_matrix(_lz_sweep(), 5.0, replace(spec, max_steps=steps - 10))
     lzi.transition_matrix(_lz_sweep(), 5.0, replace(spec, max_steps=steps + 10))
@@ -448,8 +464,8 @@ def test_shared_window_matches_direct_propagation_over_2T():
     horizon = 10.0
     sweep = _do3_sweep()
     result = lzi.transition_matrix(sweep, horizon)
-    direct = lzi.PropagationSpec(t0=-2.0 * horizon, t1=2.0 * horizon, verify=False)
-    u, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), direct)
+    direct = lzi.PropagationSpec(verify=False)
+    u, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), -2.0 * horizon, 2.0 * horizon, direct)
     assert np.abs(result.matrix_at_2T - np.abs(u) ** 2).max() < 1e-9
 
 
@@ -481,7 +497,7 @@ def test_default_engine_tables_match_dop853(model):
         "bow-tie-2": BOW_TIE2,
     }[model]
     horizon = 10.0
-    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+    spec = lzi.PropagationSpec(theta=0.25, verify=False)
     assert spec.method == "magnus4-fixed"
     result = lzi.transition_matrix(sweep, horizon, spec)
     for table, window in ((result.matrix_at_T, horizon), (result.matrix_at_2T, 2.0 * horizon)):
@@ -506,7 +522,7 @@ def test_ado_tables_match_dop853_on_every_entry():
     # the sloped pair is propagated as its bright level with the flat ones,
     # the dark level as an exact phase; both horizons' tables, every entry
     horizon = 5.0
-    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, verify=False)
+    spec = lzi.PropagationSpec(verify=False)
     models = _ado_models()
     assert any(p.gamma[0] == p.gamma[1] for p in models)
     assert sum(p.n == 3 for p in models) >= 2
@@ -523,9 +539,9 @@ def test_split_sweep_agrees_between_lab_frame_and_interaction_picture():
     # oscillate with (gamma_0^2 - gamma_1^2) t, which a wrong map would miss
     sweep = lzi.ado_sweep(lzi.ADOParams(gamma=[0.3, 0.55, 0.4, 0.5], a=[-0.6, 0.7]))
     t0, t1 = -7.0, 6.0
-    spec = lzi.PropagationSpec(t0=t0, t1=t1, base_step=0.005, theta=0.02, verify=False)
-    lab, _ = lzi.evolve_operator(sweep, spec)
-    frame, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), spec)
+    spec = lzi.PropagationSpec(base_step=0.005, theta=0.02, verify=False)
+    lab, _ = lzi.evolve_operator(sweep, t0, t1, spec)
+    frame, _ = lzi.evolve_operator(lzi.InteractionPicture(sweep), t0, t1, spec)
     lam0, lam1 = sweep.diag_phase_integral(np.array([t0, t1]))
     assert np.abs(lab - np.exp(1j * lam1)[:, None] * frame * np.exp(-1j * lam0)).max() < 1e-8
     assert np.abs(frame[0, 1]) > 0.1
@@ -537,13 +553,11 @@ def test_single_block_tables_are_the_whole_frame_propagation(model):
     # propagation of the whole interaction picture over [-2T, 2T]
     sweep = {"do-3": DO3, "bow-tie-2": BOW_TIE2}[model]
     horizon = 10.0
-    spec = lzi.PropagationSpec(t0=-horizon, t1=horizon, theta=0.25, verify=False)
+    spec = lzi.PropagationSpec(theta=0.25, verify=False)
     result = lzi.transition_matrix(sweep, horizon, spec)
     frame = lzi.InteractionPicture(sweep)
-    run = replace(spec, t0=-2.0 * horizon, t1=2.0 * horizon)
-    left, mid, right = (
-        _evolve_on_grid(frame, piece, run)[0] for piece in _pieces(frame, run, (-horizon, horizon))
-    )
+    edges = np.array([-2.0, -1.0, 1.0, 2.0]) * horizon
+    left, mid, right = (_evolve_on_grid(frame, piece, spec)[0] for piece in _pieces(frame, spec, edges))
     assert np.array_equal(result.matrix_at_T, np.abs(mid) ** 2)
     assert np.array_equal(result.matrix_at_2T, np.abs(right @ mid @ left) ** 2)
 
@@ -570,9 +584,9 @@ def test_transition_matrix_budget_counts_the_steps_of_every_block(model):
         sweep = _two_pair_sweep()
         blocks = [lzi.AffineHamiltonian(sweep.a[np.ix_(b, b)], sweep.d[np.ix_(b, b)])
                   for b in ([0, 2], [1, 3])]
-    spec = lzi.PropagationSpec(t0=-5.0, t1=5.0, theta=0.25, verify=False)
-    run = replace(spec, t0=-10.0, t1=10.0)
-    steps = sum(_time_grid(lzi.InteractionPicture(b), run, (-5.0, 5.0)).size for b in blocks)
+    spec = lzi.PropagationSpec(theta=0.25, verify=False)
+    edges = np.array([-10.0, -5.0, 5.0, 10.0])
+    steps = sum(_time_grid(lzi.InteractionPicture(b), spec, edges).size for b in blocks)
     with pytest.raises(NumericalError, match="step budget"):
         lzi.transition_matrix(sweep, 5.0, replace(spec, max_steps=steps - 10))
     lzi.transition_matrix(sweep, 5.0, replace(spec, max_steps=steps + 10))
@@ -587,8 +601,9 @@ def test_magnus4_equal_slope_populations_stay_at_cf4_accuracy():
     )
 
     def populations(theta, method):
-        spec = lzi.PropagationSpec(t0=-100.0, t1=100.0, theta=theta, verify=False)
-        return np.abs(_operator_on_grid(frame, _time_grid(frame, spec), method)) ** 2
+        spec = lzi.PropagationSpec(theta=theta, verify=False)
+        ts = _time_grid(frame, spec, np.array([-100.0, 100.0]))
+        return np.abs(_operator_on_grid(frame, ts, method)) ** 2
 
     fine = populations(0.25 / 4, "cf4-fixed")
     assert np.abs(populations(0.25, "magnus4-fixed") - fine).max() < 5e-9
@@ -597,38 +612,36 @@ def test_magnus4_equal_slope_populations_stay_at_cf4_accuracy():
 def test_step_budget_enforced():
     sweep = _lz_sweep()
     with pytest.raises(NumericalError):
-        lzi.evolve_operator(sweep, lzi.PropagationSpec(t0=-10.0, t1=10.0, max_steps=10))
+        lzi.evolve_operator(sweep, -10.0, 10.0, lzi.PropagationSpec(max_steps=10, verify=True))
 
 
 def test_verification_failure_raises():
     sweep = _lz_sweep()
     # an absurdly coarse grid cannot pass its own step-halving check
-    spec = lzi.PropagationSpec(
-        t0=-10.0, t1=10.0, rtol=1e-14, base_step=2.0, theta=1e9, verify=True
-    )
+    spec = lzi.PropagationSpec(rtol=1e-14, base_step=2.0, theta=1e9, verify=True)
     with pytest.raises(NumericalError):
-        lzi.evolve_operator(sweep, spec)
+        lzi.evolve_operator(sweep, -10.0, 10.0, spec)
 
 
 def test_population_trajectory_verify_raises_on_a_coarse_grid():
     # the evolve command's propagation used to skip the step-halving check
     frame = lzi.InteractionPicture(lzi.ado_sweep(lzi.ADOParams(gamma=[0.3, 0.4, 0.5], a=[0.0])))
     samples = np.linspace(-10.0, 10.0, 5)
-    spec = lzi.PropagationSpec(t0=-10.0, t1=10.0, rtol=1e-14, base_step=1.0, theta=2.0, verify=True)
-    psi0 = frame.to_interaction(np.array([1.0, 0.0, 0.0]), -10.0)
+    spec = lzi.PropagationSpec(rtol=1e-14, base_step=1.0, theta=2.0, verify=True)
+    psi0 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(NumericalError, match="step-halving"):
-        lzi.population_trajectory(frame, psi0, spec, samples)
-    loose = lzi.population_trajectory(frame, psi0, replace(spec, rtol=1e-2), samples)
-    coarse = lzi.population_trajectory(frame, psi0, replace(spec, verify=False), samples)
+        lzi.population_trajectory(frame, psi0, samples, spec)
+    loose = lzi.population_trajectory(frame, psi0, samples, replace(spec, rtol=1e-2))
+    coarse = lzi.population_trajectory(frame, psi0, samples, replace(spec, verify=False))
     assert 0.0 < np.abs(loose - coarse).max() <= 1e-2
 
 
 def test_population_trajectory_endpoints():
     sweep = _lz_sweep()
-    spec = lzi.PropagationSpec(t0=-6.0, t1=6.0, rtol=1e-9)
+    spec = lzi.PropagationSpec(rtol=1e-9, verify=True)
     samples = np.array([-6.0, 0.0, 6.0])
-    traj = lzi.population_trajectory(sweep, np.array([1.0, 0.0]), spec, samples)
-    u, _ = lzi.evolve_operator(sweep, spec)
+    traj = lzi.population_trajectory(sweep, np.array([1.0, 0.0]), samples, spec)
+    u, _ = lzi.evolve_operator(sweep, -6.0, 6.0, spec)
     assert np.abs(traj[0] - [1.0, 0.0]).max() < 1e-14
     assert np.abs(traj[-1] - u @ np.array([1.0, 0.0])).max() < 1e-9
 
@@ -644,7 +657,6 @@ def test_transition_matrix_two_level_crossing():
     result = lzi.transition_matrix(_lz_sweep(coupling), horizon=120.0)
     exact = np.exp(-2.0 * np.pi * coupling**2)
     assert abs(result.matrix[0, 0] - exact) < 2e-2
-    assert result.T_used == 120.0
     # raw finite-horizon tables stay column-stochastic
     for table in (result.matrix_at_T, result.matrix_at_2T):
         assert np.abs(table.sum(axis=0) - 1.0).max() < 1e-8
@@ -672,12 +684,12 @@ def test_non_finite_entries_are_rejected_by_name():
 
 
 def test_spec_validation():
+    with pytest.raises(ValueError, match="increasing"):
+        lzi.evolve_operator(_lz_sweep(), 1.0, 0.0, lzi.PropagationSpec(verify=True))
     with pytest.raises(ValueError):
-        lzi.PropagationSpec(t0=1.0, t1=0.0)
+        lzi.PropagationSpec(rtol=-1.0, verify=True)
     with pytest.raises(ValueError):
-        lzi.PropagationSpec(t0=0.0, t1=1.0, rtol=-1.0)
-    with pytest.raises(ValueError):
-        lzi.PropagationSpec(t0=0.0, t1=1.0, method="euler")
+        lzi.PropagationSpec(method="euler", verify=True)
 
 
 @pytest.mark.parametrize("field", ["base_step", "theta", "rtol"])
@@ -685,12 +697,12 @@ def test_spec_validation():
 def test_spec_rejects_non_positive_or_non_finite_step_controls(field, value):
     # a negative budget used to collapse every segment to a single step
     with pytest.raises(ValueError, match=field):
-        lzi.PropagationSpec(t0=0.0, t1=1.0, **{field: value})
+        lzi.PropagationSpec(verify=True, **{field: value})
 
 
 def test_time_grid_respects_phase_budget():
     sweep = _lz_sweep()
-    spec = lzi.PropagationSpec(t0=-50.0, t1=50.0, theta=0.2)
-    ts = _time_grid(lzi.InteractionPicture(sweep), spec)
+    spec = lzi.PropagationSpec(theta=0.2, verify=True)
+    ts = _time_grid(lzi.InteractionPicture(sweep), spec, np.array([-50.0, 50.0]))
     rates = np.abs(ts[:-1]) + 1.0
     assert np.all(np.diff(ts) <= np.minimum(spec.base_step, spec.theta / rates) + 1e-12)

@@ -86,8 +86,7 @@ def test_two_level_propagation_matches_the_weber_propagator(sweeps, method):
     for horizon, t0, t1, sweep, reference, opposite in sweeps:
         if method != "magnus4-fixed" and horizon > 50.0:
             continue
-        spec = lzi.PropagationSpec(t0, t1, method=method, verify=False)
-        u, _ = lzi.evolve_operator(sweep, spec)
+        u, _ = lzi.evolve_operator(sweep, t0, t1, lzi.PropagationSpec(method=method, verify=False))
         worst = max(worst, float(np.abs(u - reference).max()))
         assert np.abs(u - opposite).max() > 0.1
     assert worst < bound
