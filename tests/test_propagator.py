@@ -214,10 +214,11 @@ def _einsum_product(a, b):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
-@pytest.mark.parametrize("matmul_levels", [propagator._MATMUL_LEVELS, 9])
+@pytest.mark.parametrize("matmul_levels", [5, 9])
 def test_stacked_product_matches_per_step_product(dim, matmul_levels, monkeypatch):
-    # with the threshold at 9 every size takes the d^3 row loop; at its
-    # default, 8 levels take matmul on the steps-first view
+    # with the threshold at 9 every size takes the d^3 row loop; at 5, the
+    # 5 and 8 level stacks take matmul on the steps-first view (the default
+    # threshold lies between, so both of its paths are covered)
     monkeypatch.setattr(propagator, "_MATMUL_LEVELS", matmul_levels)
     rng = np.random.default_rng(dim)
     x = _hermitian_stack(rng, dim, rng.uniform(0.1, 3.0, 33))
