@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSpectralError
@@ -32,6 +34,13 @@ def require_distinct(values, name: str) -> None:
         raise DegenerateSpectralError(
             f"{name} entries too close: min gap {off.min():.3e} <= {threshold:.3e}"
         )
+
+
+def require_squarable(values, name: str) -> None:
+    """Reject entries whose sum of squares overflows; each square and each
+    product of two entries is then finite too."""
+    if not math.isfinite(sum(x * x for x in np.asarray(values, dtype=float).tolist())):
+        raise ValueError(f"{name} is too large: the sum of its squares overflows")
 
 
 def fmt17(x: float) -> str:

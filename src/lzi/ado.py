@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_float_array, require_distinct
+from ._util import frozen_float_array, require_distinct, require_squarable
 from .errors import BranchPointError, DegenerateSpectralError, QuadratureError
 from .propagator import AffineHamiltonian
 from .spin import commutator, max_abs, pauli_u2_basis
@@ -88,9 +88,9 @@ class ADOParams:
             raise ValueError("need at least gamma_0, gamma_1 and one flat level")
         if a.size != gamma.size - 2:
             raise ValueError(f"expected {gamma.size - 2} flat levels, got {a.size}")
-        with np.errstate(over="ignore"):  # an overflowing square is rejected by name downstream
-            if gamma[0] ** 2 + gamma[1] ** 2 == 0.0:
-                raise DegenerateSpectralError("gamma_0 = gamma_1 = 0 leaves no sloped coupling")
+        require_squarable(gamma, "gamma")
+        if gamma[0] ** 2 + gamma[1] ** 2 == 0.0:
+            raise DegenerateSpectralError("gamma_0 = gamma_1 = 0 leaves no sloped coupling")
         require_distinct(a, "flat-level positions a")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "a", a)
@@ -112,9 +112,8 @@ def ado_sweep(p: ADOParams) -> AffineHamiltonian:
     D = diag(1, 1, 0, .., 0)."""
     g = p.gamma
     a = np.diag(np.concatenate([[0.0, 0.0], p.a]))
-    with np.errstate(over="ignore"):  # AffineHamiltonian names an overflowing entry
-        a[:2] = np.outer(g[:2], g)
-        a[0, 0], a[1, 1] = g[0] ** 2, g[1] ** 2
+    a[:2] = np.outer(g[:2], g)
+    a[0, 0], a[1, 1] = g[0] ** 2, g[1] ** 2
     a[2:, :2] = a[:2, 2:].T
     return AffineHamiltonian(a, np.diag([1.0, 1.0] + [0.0] * p.a.size))
 

@@ -111,7 +111,7 @@ _ADO_PARAMS = {"gamma": ([float], REQUIRED), "a": ([float], REQUIRED)}
 # the `params` of a command with a `model` key, declared per model and read after it
 _MODEL_PARAMS = {"do": _DO_PARAMS, "bow-tie": dict(_DO_PARAMS, r=([float], REQUIRED)), "ado": _ADO_PARAMS}
 _MODEL = {"model": (tuple(_MODEL_PARAMS), REQUIRED), "params": (_MODEL_PARAMS, REQUIRED)}
-_PROPAGATION = _spec_keys(propagator.PropagationSpec, "rtol", "method", "base_step", "theta", "verify")
+_PROPAGATION = _spec_keys(propagator.PropagationSpec, "rtol", "base_step", "theta", "verify")
 _QUADRATURE = _spec_keys(ado.QuadratureSpec)
 _BRANCH = ((1, -1), 1)  # the spinor branch m of the closed form
 
@@ -367,12 +367,12 @@ def cmd_lz_probability(cfg: dict):
 
     def one(point):
         g0, g1, g2 = point
+        p = ado.ADOParams(gamma=[g0, g1, g2], a=[a2])
         formula = ado.lz_probability(g0, g1, g2)
         if not run_oracle:
             return (g0, g1, g2, formula, float("nan"), float("nan"))
         if g2 == 0.0:
             return (g0, g1, g2, formula, 1.0, abs(formula - 1.0))
-        p = ado.ADOParams(gamma=[g0, g1, g2], a=[a2])
         result = propagator.transition_matrix(ado.ado_sweep(p), horizon, spec)
         oracle = float(result.matrix[2, 2])
         return (g0, g1, g2, formula, oracle, abs(formula - oracle))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen_float_array, require_distinct
+from ._util import frozen_float_array, require_distinct, require_squarable
 from .errors import DegenerateSpectralError, NoRealShiftError, NumericalError
 from .propagator import AffineHamiltonian
 
@@ -76,6 +76,7 @@ class DOParams:
         epsilon = frozen_float_array(self.epsilon, "epsilon")
         if gamma.shape != epsilon.shape or gamma.size < 1:
             raise ValueError("gamma and epsilon must have equal length >= 1")
+        require_squarable(gamma, "gamma")
         if gamma[0] == 0.0:
             raise DegenerateSpectralError("gamma_0 = 0 decouples the sloped level entirely")
         require_distinct(epsilon, "epsilon")

@@ -10,22 +10,19 @@ evolve_operator from t0 to t1, population_trajectory from its first sample
 (psi0 being the lab-frame state there) to its last, and transition_matrix
 over [-2T, 2T] cut at -T and T.
 
-The default engine, "magnus4-fixed", is a fourth-order Magnus integrator:
-one exponential per step of X = h/2 (H1 + H2) + i sqrt(3)/12 h^2 C +
-h^3/80 [C, H2 - H1], with C = [H2, H1] and H1, H2 taken at the two Gauss
-nodes.  "cf4-fixed" (commutator-free, two exponentials per step),
-"rk4-fixed" and "magnus2-fixed" remain as reference engines for convergence
-checks.  Exponentials are Taylor series truncated below roundoff (with scaling
-and squaring for large steps), except on a 2-level block under
-"magnus4-fixed", where exp(i (x0 + xi.sigma)) = exp(i x0) (cos|xi| + i sin|xi|
-xi^.sigma) is taken in closed form and held as the two complex numbers of its
-SU(2) part; each step is unitary to roundoff.  Every other batch product of an
-exponential engine is replaced by its unitary polar factor, so unitarity does
-not drift with the number of batches.  A step obeys h <=
-min(base_step, theta / (1 + rate)) at its left end, rate being the diagonal
-spread in the interaction picture (in the lab frame, the largest entry), which
-resolves the oscillatory far tails of a linear sweep without a globally tiny
-step; the grid inverts the integrated step density in a few array passes.
+The engine is a fourth-order Magnus integrator: one exponential per step of
+X = h/2 (H1 + H2) + i sqrt(3)/12 h^2 C + h^3/80 [C, H2 - H1], with C = [H2, H1]
+and H1, H2 taken at the two Gauss nodes.  On a 2-level block,
+exp(i (x0 + xi.sigma)) = exp(i x0) (cos|xi| + i sin|xi| xi^.sigma) is taken in
+closed form and held as the two complex numbers of its SU(2) part; each step
+is unitary to roundoff.  Larger blocks take Taylor series truncated below
+roundoff (with scaling and squaring for large steps), and each batch product is
+replaced by its unitary polar factor, so unitarity does not drift with the
+number of batches.  A step obeys h <= min(base_step, theta / (1 + rate)) at
+its left end, rate being the diagonal spread in the interaction picture (in
+the lab frame, the largest entry), which resolves the oscillatory far tails of
+a linear sweep without a globally tiny step; the grid inverts the integrated
+step density in a few array passes.
 The interaction picture evaluates only the coupled pairs of H.
 Every propagation first rotates each group of equal-slope levels that A
 couples to the constant eigenbasis of its A block (for ado, the dark and
@@ -34,11 +31,11 @@ the rotated couplings on its own grid, a lone level as an exact phase, and
 maps the result back to the caller's frame.  A Demkov-Osherov or bow-tie
 sweep is one block unless a level decouples.
 Long products are evaluated in batches of _BATCH_STEPS = 2048 steps, held (off
-the 2-level Magnus-4 path) as (d, d, N) stacks: below _MATMUL_LEVELS = 7
-levels the stacks are levels first and a stacked product is d^3 multiply-adds
-on length-N rows; from 7 levels up they are steps first and matmul multiplies
-them.  A pairwise reduction then multiplies a batch out in log depth, its
-short last levels by matmul.  This is what makes T ~ hundreds affordable.
+the 2-level path) as (d, d, N) stacks: below _MATMUL_LEVELS = 7 levels the
+stacks are levels first and a stacked product is d^3 multiply-adds on length-N
+rows; from 7 levels up they are steps first and matmul multiplies them.  A
+pairwise reduction then multiplies a batch out in log depth, its short last
+levels by matmul.  This is what makes T ~ hundreds affordable.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ __all__ = [
 
 _SQRT3 = np.sqrt(3.0)
 _GAUSS_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
-_CF4_WEIGHTS = (0.25 + _SQRT3 / 6.0, 0.25 - _SQRT3 / 6.0)
 _BATCH_STEPS = 2048  # steps per batched block: rows stay in cache, per-call overhead stays small
 # from this many levels up, stacks are held steps first and multiplied by matmul: the first level
 # count where a DO transition_matrix (T=50, theta 0.25) ran faster so in 9 of 10 alternating pairs
@@ -71,7 +67,7 @@ _BATCH_STEPS = 2048  # steps per batched block: rows stay in cache, per-call ove
 _MATMUL_LEVELS = 7
 # pairwise-product levels of at most this many d^3 products take matmul (~0.3 us per matrix, rows
 # ~1.4 us per d^3 op); crossovers, 2-core Xeon, numpy 2.4: 32-64 at d=2, ~128 at d=3, 256-512 at d=4.
-# At d=2 only the reference engines reach this product; 2-level Magnus-4 takes SU(2) pairs
+# At d=2 nothing reaches this product: a 2-level block takes SU(2) pairs
 _MATMUL_SHORT = 4
 _CHUNK = 2**17  # time points per budget pass; bounds memory
 _DENSITY_RTOL = 1e-3  # knot spacing: relative midpoint error of the linear density
@@ -81,27 +77,23 @@ _ROUNDOFF = 8.0 * np.finfo(float).eps  # rotated entries at most this times max|
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """How to integrate: engine, step controls and tolerances; each call
-    says over what times.
+    """How to integrate: step controls and tolerances; each call says over
+    what times.
 
-    method is "magnus4-fixed" (default, one exponential per step), or one of
-    the reference engines "cf4-fixed", "rk4-fixed", "magnus2-fixed".
     `base_step` defaults to 0.01; `theta` is the local phase budget per step
     (radians); both, like rtol, must be positive and finite.  `max_steps`
-    caps the steps of a whole call.  With verify=True runs are repeated at
-    half step and must agree within rtol.
+    caps the steps of a whole call.  With verify=True each run is checked
+    against a rerun at half step, which must agree within rtol; the result
+    is that of the run itself, whether or not it is checked.
     """
 
     rtol: float = 1e-8
-    method: str = "magnus4-fixed"
     max_steps: int = 20_000_000
     base_step: float = 0.01
     theta: float = 0.1
     verify: bool = False
 
     def __post_init__(self):
-        if self.method not in _BLOCKS:
-            raise ValueError(f"unknown method {self.method!r}")
         for name in ("rtol", "base_step", "theta"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -444,73 +436,38 @@ def _su2_magnus4_product(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return np.exp(1j * x0) * np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
 
 
-def _cf4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    hs = tb - ta
-    g1, g2 = _CF4_WEIGHTS
-    h1, h2 = _gauss_stacks(h, ta, hs)
-    b1 = hs * (g1 * h1 + g2 * h2)
-    b2 = hs * (g2 * h1 + g1 * h2)
-    return _mul(_expm_i_batch(b2), _expm_i_batch(b1))
-
-
-def _magnus2_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    hs = tb - ta
-    return _expm_i_batch(hs * _stack(h, ta + 0.5 * hs))
-
-
-def _rk4_blocks(h, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Classical RK4 steps of U' = i H U, each as the matrix it applies."""
-    hs = tb - ta
-    k1, km, kb = (1j * _stack(h, t) for t in (ta, ta + 0.5 * hs, tb))
-    eye = np.eye(k1.shape[0])[:, :, None]
-    k2 = _mul(km, eye + 0.5 * hs * k1)
-    k3 = _mul(km, eye + 0.5 * hs * k2)
-    k4 = _mul(kb, eye + hs * k3)
-    return eye + hs / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-_BLOCKS = {
-    "magnus4-fixed": _magnus4_blocks,
-    "cf4-fixed": _cf4_blocks,
-    "rk4-fixed": _rk4_blocks,
-    "magnus2-fixed": _magnus2_blocks,
-}
-
-
-def _operator_on_grid(h, ts: np.ndarray, method: str) -> np.ndarray:
+def _operator_on_grid(h, ts: np.ndarray) -> np.ndarray:
     dim = h.eval_many(ts[:1]).shape[0]
-    su2 = dim == 2 and method == "magnus4-fixed"
     u = np.eye(dim, dtype=complex)
     n = ts.size - 1
     for lo in range(0, n, _BATCH_STEPS):
         hi = min(lo + _BATCH_STEPS, n)
         ta, tb = ts[lo:hi], ts[lo + 1 : hi + 1]
-        if su2:
+        if dim == 2:
             product = _su2_magnus4_product(h, ta, tb)
         else:
-            product = _pairwise_product(_BLOCKS[method](h, ta, tb))
-            if method != "rk4-fixed":  # RK4 steps are not unitary
-                # the unitary polar factor W Vh of W S Vh: the rounding of near-identity
-                # steps has one sign along a sweep, and would add up over the batches
-                w, _, vh = np.linalg.svd(product)
-                product = w @ vh
+            # the unitary polar factor W Vh of W S Vh: the rounding of near-identity
+            # steps has one sign along a sweep, and would add up over the batches
+            w, _, vh = np.linalg.svd(_pairwise_product(_magnus4_blocks(h, ta, tb)))
+            product = w @ vh
         u = product @ u
     return u
 
 
 def _evolve_on_grid(sweep, ts: np.ndarray, spec: PropagationSpec):
-    u = _operator_on_grid(sweep, ts, spec.method)
+    """U on the grid ts, and with verify set its step-halving estimate
+    max_abs(U - U_half) (NumericalError above rtol), else None."""
+    u = _operator_on_grid(sweep, ts)
     if not spec.verify:
         return u, None
     fine = np.insert(ts, np.arange(1, ts.size), 0.5 * (ts[:-1] + ts[1:]))
-    u_half = _operator_on_grid(sweep, fine, spec.method)
-    estimate = max_abs(u - u_half)
+    estimate = max_abs(u - _operator_on_grid(sweep, fine))
     if estimate > spec.rtol:
         raise NumericalError(
             f"step-halving estimate {estimate:.3e} exceeds rtol {spec.rtol:.3e} "
             f"({ts.size - 1} steps; tighten base_step/theta or rtol)"
         )
-    return u_half, estimate
+    return u, estimate
 
 
 def _segments(h, spec: PropagationSpec, edges):

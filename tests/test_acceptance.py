@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 
 import lzi
-from lzi.propagator import _operator_on_grid
+from reference_engines import operator_on_grid
 
 
 def _report(number: int, text: str, passed: bool, detail: str) -> None:
@@ -219,7 +219,7 @@ def test_criterion_7_oracle_self_checks():
     for method, nominal in (("cf4-fixed", 4.0), ("rk4-fixed", 4.0), ("magnus2-fixed", 2.0)):
         def run(n_steps):
             ts = np.linspace(-4.0, 4.0, n_steps + 1)
-            return _operator_on_grid(sweep, ts, method)
+            return operator_on_grid(sweep, ts, method)
 
         ref = run(16384)
         errors = [lzi.max_abs(run(n) - ref) for n in (128, 256)]

@@ -357,8 +357,9 @@ def test_verify_integrals_reports_the_library_definitions(tmp_path, case, seed):
 
 
 def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
-    # gamma_0^2 overflows, so every defect is NaN, and max(0.0, nan) would report 0.0
-    config = {"schema_version": 1, "params": {"gamma": [1e160, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}}
+    # gamma_0 = 1e60 has finite squares, but the EKZ four-vectors overflow, so every defect
+    # is NaN, and max(0.0, nan) would report 0.0
+    config = {"schema_version": 1, "params": {"gamma": [1e60, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}}
     cfg = _write(tmp_path, "ekz.json", config)
     out = tmp_path / "report.json"
     assert _run(["verify-ekz", "--config", cfg, "--out", str(out)]) == 2
@@ -372,12 +373,13 @@ def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("grid, first", [
+    # a t_grid at this gamma writes zeros, so only the omega grid reaches the row check
     ({"omega_grid": {"start": 0.1, "stop": 0.2, "num": 2}}, "omega = 0.10000000000000001"),
-    ({"t_grid": {"start": -1.0, "stop": 1.0, "num": 2}, "quadrature": {"tolerance": 0.01}}, "t = -1"),
-], ids=["omega-grid", "t-grid"])
+], ids=["omega-grid"])
 def test_closed_form_non_finite_row_exits_2_naming_its_grid_value(tmp_path, capsys, grid, first):
-    # gamma_0^2 overflows, so every amplitude is NaN; no row is written and no numpy warning printed
-    config = {"schema_version": 1, "params": {"gamma": [1e160, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
+    # gamma_0 = 1e60 has finite squares, but every amplitude is NaN; no row is written
+    # and no numpy warning printed
+    config = {"schema_version": 1, "params": {"gamma": [1e60, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
               "branch": 1, **grid}
     cfg = _write(tmp_path, "cf.json", config)
     out = tmp_path / "amplitudes.csv"
@@ -524,6 +526,26 @@ def test_verify_runs_the_step_halving_check_in_every_propagating_command(tmp_pat
     assert _run([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "step-halving estimate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, model, params", [
+    ("transition-matrix", "do", {"gamma": [1.0, 0.5, 0.4, 0.3], "epsilon": [0.0, 1.0, -2.0, 3.0]}),
+    ("evolve", "ado", {"gamma": [0.3, 0.4, 0.5], "a": [0.0]}),
+], ids=["do-transition-matrix", "ado-evolve"])
+def test_verify_checks_without_changing_the_output(tmp_path, command, model, params):
+    # the step-halving rerun only checks the result; what is written is the run itself
+    cfg = {"schema_version": 1, "model": model, "params": params}
+    if command == "evolve":
+        cfg["grid"] = {"start": -10.0, "stop": 10.0, "num": 5}
+    else:
+        cfg["T"] = 10.0
+    written = []
+    for verify in (False, True):
+        cfg["propagation"] = {"theta": 0.25, "rtol": 1e-6, "verify": verify}
+        out = tmp_path / f"verify_{verify}.csv"
+        assert _run([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_propagation_block_is_the_spec_without_its_step_cap():
@@ -825,6 +847,7 @@ _CF_TIME = dict(
 )
 _CF_TIME.pop("omega_grid")
 _EVOLVE_BOTH = dict(_VALID["evolve"], model="ado", params=_ADO, engine="both")
+_GAMMA_OVERFLOWS = "gamma is too large: the sum of its squares overflows"
 
 # (command, path, value, base config if not the command's valid one, a fragment of
 # the message: the key at fault, or the library's own words where no key is named)
@@ -836,7 +859,9 @@ _CONFIG_ERRORS = {
         "spectral-flow", ("params", "epsilon"), [0.0, 1.0], None, "gamma and epsilon must have equal length"
     ),
     "tm-negative-T": ("transition-matrix", ("T",), -5, None, "horizon must be positive"),
-    "tm-unknown-method": ("transition-matrix", ("propagation", "method"), "euler", None, "unknown method 'euler'"),
+    "tm-unknown-method": (
+        "transition-matrix", ("propagation", "method"), "euler", None, "unknown key 'propagation.method'"
+    ),
     "tm-negative-rtol": ("transition-matrix", ("propagation", "rtol"), -1, None, "rtol must be positive"),
     "tm-ado-two-gammas": (
         "transition-matrix", ("params", "gamma"), [0.3, 0.4], None, "need at least gamma_0, gamma_1"
@@ -923,7 +948,7 @@ _CONFIG_ERRORS = {
     # the engine that compares with the closed form starts in its branch spinor, not in initial_state
     "evolve-closed-form-oracle-keys": (
         "evolve", ("propagation",), {"theta": -1, "method": "euler"}, dict(_EVOLVE_BOTH, initial_state=7),
-        "unknown method 'euler'",
+        "unknown key 'propagation.method'",
     ),
     "evolve-closed-form-initial-state-seven": (
         "evolve", ("initial_state",), 7, _EVOLVE_BOTH, "initial_state must be an integer in 0..2, got 7"
@@ -932,15 +957,38 @@ _CONFIG_ERRORS = {
         "evolve", ("propagation", "theta"), -1, _EVOLVE_BOTH, "theta must be positive"
     ),
     "evolve-closed-form-method-euler": (
-        "evolve", ("propagation", "method"), "euler", _EVOLVE_BOTH, "unknown method 'euler'"
+        "evolve", ("propagation", "method"), "euler", _EVOLVE_BOTH, "unknown key 'propagation.method'"
     ),
-    # a coupling whose square overflows: the sweep's A gets an infinite entry
+    # a coupling whose square overflows: the params reject gamma before any model is built
     "tm-ado-gamma-squared-overflows": (
-        "transition-matrix", ("params", "gamma"), [1e160, 0.4, 0.5], None, "A has non-finite entries"
+        "transition-matrix", ("params", "gamma"), [1e160, 0.4, 0.5], None, _GAMMA_OVERFLOWS
+    ),
+    "tm-do-gamma-squared-overflows": (
+        "transition-matrix", ("params",), {"gamma": [1e160, 0.4], "epsilon": [0.0, 1.0]},
+        dict(_VALID["transition-matrix"], model="do"), _GAMMA_OVERFLOWS,
     ),
     "evolve-ado-gamma-squared-overflows": (
         "evolve", ("params", "gamma"), [1e160, 0.4, 0.5], dict(_VALID["evolve"], model="ado", params=_ADO),
-        "A has non-finite entries",
+        _GAMMA_OVERFLOWS,
+    ),
+    "flow-gamma-squared-overflows": (
+        "spectral-flow", ("params", "gamma"), [1e160, 0.5, 0.7], None, _GAMMA_OVERFLOWS
+    ),
+    "ekz-gamma-squared-overflows": (
+        "verify-ekz", ("params", "gamma"), [1e160, 0.4, 0.5, 0.2], None, _GAMMA_OVERFLOWS
+    ),
+    "cf-omega-grid-gamma-squared-overflows": (
+        "closed-form", ("params", "gamma"), [1e160, 0.4, 0.5], None, _GAMMA_OVERFLOWS
+    ),
+    "cf-t-grid-gamma-squared-overflows": (
+        "closed-form", ("params", "gamma"), [1e160, 0.4, 0.5], _CF_TIME, _GAMMA_OVERFLOWS
+    ),
+    "lzp-oracle-gamma-squared-overflows": (
+        "lz-probability", ("sweep", "points"), [[1e160, 0.4, 0.5]], None, _GAMMA_OVERFLOWS
+    ),
+    "lzp-formula-only-gamma-squared-overflows": (
+        "lz-probability", ("sweep", "points"), [[1e160, 0.4, 0.5]],
+        dict(_VALID["lz-probability"], oracle=False), _GAMMA_OVERFLOWS,
     ),
     # mutually exclusive keys
     "cf-omega-grid-and-t-grid": (

@@ -16,6 +16,7 @@ one propagation costs 0.25-0.37 s.
 
 import numpy as np
 import pytest
+from reference_engines import engine
 from weber_reference import weber_propagator
 
 import lzi
@@ -86,7 +87,8 @@ def test_two_level_propagation_matches_the_weber_propagator(sweeps, method):
     for horizon, t0, t1, sweep, reference, opposite in sweeps:
         if method != "magnus4-fixed" and horizon > 50.0:
             continue
-        u, _ = lzi.evolve_operator(sweep, t0, t1, lzi.PropagationSpec(method=method, verify=False))
+        with engine(method):
+            u, _ = lzi.evolve_operator(sweep, t0, t1, lzi.PropagationSpec(verify=False))
         worst = max(worst, float(np.abs(u - reference).max()))
         assert np.abs(u - opposite).max() > 0.1
     assert worst < bound
