@@ -125,12 +125,12 @@ class BVectorSet:
     b1 couples to the quantum spin directly; bk[j] (for flat level j+2) enters
     with weight 1/(omega - a_j).  betas are the Euclidean norms of the spatial
     parts; unit_n is the common spatial direction in the parallel case (taken
-    from the largest spatial part otherwise), and `parallelism_defect` is the
-    worst unit-cross-product norm over vector pairs (0 iff all parallel).
+    from the largest spatial part otherwise).  Whether the parts are parallel
+    is not recorded: the verify suites see a loss of parallelism as
+    commutator defects of the EKZ operators.
 
     A set from :func:`b_vector_stack` holds several models at once: each field
-    then carries a leading axis over the models (beta1 and parallelism_defect
-    become arrays).
+    then carries a leading axis over the models (beta1 becomes an array).
     """
 
     b1: np.ndarray
@@ -139,7 +139,6 @@ class BVectorSet:
     betas: np.ndarray
     unit_n: np.ndarray
     a: np.ndarray
-    parallelism_defect: float
 
     @property
     def n_classical(self) -> int:
@@ -160,8 +159,8 @@ def b_vector_stack(params, v) -> BVectorSet:
     """The four-vectors of several models of one level count n + 1 at once:
     v[s] is the symmetric (n + 1) x (n + 1) coupling table of params[s], of
     which only rows 0 and 1 are used.  Entry s of every field is model s's
-    own, equal to b_vectors(params[s]) for its rank-one table; any loss of
-    parallelism is reported, not raised.
+    own, equal to b_vectors(params[s]) for its rank-one table; a table that
+    is not rank-one is accepted as it is.
     """
     n = params[0].n
     v = np.asarray(v, dtype=float)
@@ -178,25 +177,12 @@ def _four_vectors(params, v: np.ndarray) -> BVectorSet:
     bk = _four_vector_pair(_scalar_squares(v0), _scalar_squares(v1), v0 * v1)
     spatial = np.concatenate([b1[:, None, 1:], bk[:, :, 1:]], axis=1)
     norms = np.linalg.norm(spatial, axis=-1)
-    nonzero = norms > 0.0
-    if not np.all(np.any(nonzero, axis=1)):
+    if not np.all(np.any(norms > 0.0, axis=1)):
         raise DegenerateSpectralError("all spatial parts vanish; no direction defined")
     rows = np.arange(len(params))
     unit_n = spatial[rows, np.argmax(norms, axis=1)] / norms.max(axis=1)[:, None]
-    # a vanishing spatial part has no direction: its unit row stays 0 and adds no defect
-    units = np.divide(spatial, norms[..., None], out=np.zeros_like(spatial),
-                      where=nonzero[..., None])
-    i, j = np.triu_indices(spatial.shape[1], 1)
-    defect = np.linalg.norm(np.cross(units[:, i], units[:, j]), axis=-1).max(axis=-1, initial=0.0)
-    return BVectorSet(
-        b1=b1,
-        bk=bk,
-        beta1=norms[:, 0],
-        betas=norms[:, 1:],
-        unit_n=unit_n,
-        a=np.array([p.a for p in params]),
-        parallelism_defect=defect,
-    )
+    return BVectorSet(b1=b1, bk=bk, beta1=norms[:, 0], betas=norms[:, 1:], unit_n=unit_n,
+                      a=np.array([p.a for p in params]))
 
 
 def b_vectors(p: ADOParams) -> BVectorSet:
@@ -206,15 +192,8 @@ def b_vectors(p: ADOParams) -> BVectorSet:
     An explicit coupling table goes through :func:`b_vector_stack`.
     """
     stack = _four_vectors([p], coupling_matrix(p)[None])
-    return BVectorSet(
-        b1=stack.b1[0],
-        bk=stack.bk[0],
-        beta1=float(stack.beta1[0]),
-        betas=stack.betas[0],
-        unit_n=stack.unit_n[0],
-        a=stack.a[0],
-        parallelism_defect=float(stack.parallelism_defect[0]),
-    )
+    return BVectorSet(b1=stack.b1[0], bk=stack.bk[0], beta1=float(stack.beta1[0]),
+                      betas=stack.betas[0], unit_n=stack.unit_n[0], a=stack.a[0])
 
 
 def _contract(b4: np.ndarray) -> np.ndarray:
@@ -353,11 +332,25 @@ class EKZSolution:
         return self.scalar(omega, a) * self.xi
 
 
+_LOG_MAX = float(np.log(np.finfo(float).max))  # about 709.78
+
+
 def closed_form_solution(p: ADOParams, m: int) -> EKZSolution:
-    """Assemble the exact frequency-space solution for branch m = +-1."""
+    """Assemble the exact frequency-space solution for branch m = +-1.
+
+    Below every flat level each power-law factor has its largest modulus, so
+    log |Phi| there is L = pi (1+m) sum_k beta_k + 2 pi sum beta_i beta_j over
+    the pairs i < j with a_i < a_j; couplings with 2 L beyond the log of the
+    largest double, where |Phi|^2 cannot be represented, are rejected.
+    """
     if m not in (+1, -1):
         raise ValueError(f"branch m must be +1 or -1, got {m}")
     b = b_vectors(p)
+    betas, a = b.betas.tolist(), b.a.tolist()  # Python floats overflow to inf quietly
+    log_modulus = np.pi * (1 + m) * sum(betas) + 2.0 * np.pi * sum(
+        betas[i] * betas[j] for i, j in itertools.combinations(range(len(a)), 2) if a[i] < a[j])
+    if not 2.0 * log_modulus <= _LOG_MAX:
+        raise ValueError("gamma is too large: |Phi|^2 of the closed form overflows below the flat levels")
     xi_plus, xi_minus = spinor_eigenbasis(b.unit_n)
     return EKZSolution(m=m, xi=xi_plus if m == +1 else xi_minus, b=b)
 
@@ -425,7 +418,13 @@ class FourierResult:
     window: float
 
 
-def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float):
+def _windowed_transform(sol: EKZSolution, t: float, center: float, window: float, tolerance: float):
+    # the phase reaches (|center| + window)^2 / 2 at the window's edge, and rounding moves it
+    # by eps times that; a t that far out has no resolvable transform
+    span = abs(float(center)) + window
+    if np.finfo(float).eps * span * span > tolerance:
+        raise QuadratureError(f"t = {t!r}: rounding moves the transform's phase by more than "
+                              f"the tolerance {tolerance:g} in a window of {window:g}")
     from scipy.integrate import quad  # on first use: it costs more than the rest of `import lzi`
 
     flat = 1.0 - _TAPER_FRACTION
@@ -457,15 +456,17 @@ def time_domain_wavefunction(sol: EKZSolution, t: float,
 
     The window is centred on the stationary-phase point beta1 (1+m) - t,
     tapered over its outer fraction, and doubled until two successive values
-    agree within the requested tolerance; QuadratureError otherwise.
+    agree within the requested tolerance; QuadratureError otherwise, and also
+    for a window whose phase rounding alone exceeds the tolerance
+    (eps (|centre| + window)^2 > tolerance), as at |t| ~ 1e30.
     """
     qspec = qspec or QuadratureSpec()
     center = sol.b.beta1 * (1 + sol.m) - t
     window = qspec.initial_window
-    value, quad_err = _windowed_transform(sol, t, center, window)
+    value, quad_err = _windowed_transform(sol, t, center, window, qspec.tolerance)
     for _ in range(_MAX_DOUBLINGS):
         window2 = 2.0 * window
-        value2, quad_err2 = _windowed_transform(sol, t, center, window2)
+        value2, quad_err2 = _windowed_transform(sol, t, center, window2, qspec.tolerance)
         delta = abs(value2 - value)
         if delta <= qspec.tolerance * max(1.0, abs(value2)):
             return FourierResult(
@@ -475,7 +476,7 @@ def time_domain_wavefunction(sol: EKZSolution, t: float,
             )
         value, quad_err, window = value2, quad_err2, window2
     raise QuadratureError(
-        f"window doubling stalled at {window:g} (last delta {abs(value2 - value):.3e})"
+        f"window doubling stalled at {window:g} (last delta {delta:.3e})"
     )
 
 
@@ -494,9 +495,9 @@ def survival_from_transform(sol: EKZSolution, horizon: float,
     )
 
 
-def lz_probability(gamma0: float, gamma1: float, gamma2: float) -> float:
+def lz_probability(g0: float, g1: float, g2: float) -> float:
     """Survival probability of the flat level for the three-level sweep:
 
     P = exp(-2 pi (gamma_0^2 + gamma_1^2) gamma_2^2).
     """
-    return float(np.exp(-2.0 * np.pi * (gamma0**2 + gamma1**2) * gamma2**2))
+    return float(np.exp(-2.0 * np.pi * (g0**2 + g1**2) * g2**2))

@@ -7,10 +7,10 @@ For distinct spectral parameters w_l, the exchange operators
 commute pairwise, and so do their extensions R_l = lam * Sz_l + G_l.  The
 R_l also satisfy a zero-curvature identity in the w parameters,
 
-    d_{w_l} R_m - d_{w_m} R_l - [R_l, R_m] / level_shift = 0,
+    d_{w_l} R_m - d_{w_m} R_l - [R_l, R_m] / level_shift = 0.
 
-which :func:`kz_flatness_residual` evaluates with analytic derivatives (the
-only w dependence is through 1/(w_l - w_m) factors, so no step size enters).
+Both derivatives are S_l.S_m / (w_l - w_m)^2, so they cancel exactly and
+:func:`kz_flatness_residual` is the scaled commutator [R_l, R_m] / level_shift.
 Every operator is a weighted sum of the exchange operators S_l . S_m, which
 are built once per site system (:func:`lzi.spin.site_operators`).
 :func:`verify_commuting`, the package's one commutator check, gives both verify
@@ -31,7 +31,6 @@ from .spin import SiteSystem, commutator, max_abs, site_operators
 __all__ = [
     "SpectralConfig",
     "richardson_integral",
-    "richardson_derivative",
     "verify_commuting",
     "kz_flatness_residual",
 ]
@@ -84,53 +83,26 @@ def _check_site(cfg: SpectralConfig, system: SiteSystem, site: int) -> None:
         raise IndexError(f"site {site} outside 0..{system.n_sites - 1}")
 
 
-def _exchange_sums(sites, denominators, system: SiteSystem) -> np.ndarray:
-    """out[i, s] = sum over m != sites[i] of S(sites[i]).S(m) / denominators[s, i, m],
-    added in site order: the per-term formula's own arithmetic, so every matrix
-    of the (len(sites), S, D, D) stack equals it bit for bit."""
-    exchange = site_operators(system)[1]
-    den = np.asarray(denominators)[..., None, None]
-    out = np.zeros((len(sites), den.shape[0]) + (system.total_dim,) * 2, dtype=complex)
-    for i, site in enumerate(sites):
-        for other in range(system.n_sites):
-            if other != site:
-                out[i] += exchange[site, other] / den[:, i, other]
-    return out
-
-
 def richardson_integral(sites, cfgs, system: SiteSystem) -> np.ndarray:
     """R_l = lam * Sz(l) + G_l for each l in `sites` and each config, as one
     (len(sites), len(cfgs), D, D) stack; entry [i, s] is R_{sites[i]} of
-    cfgs[s], and equals G_{sites[i]} bit for bit where lam = 0."""
+    cfgs[s], and equals G_{sites[i]} bit for bit where lam = 0.  Each G_l adds
+    S_l.S_m / (w_l - w_m) in site order: the per-term formula's own arithmetic."""
     sites = list(sites)
     for cfg in cfgs:
         for site in sites:
             _check_site(cfg, system, site)
     w = np.array([_weights(cfg) for cfg in cfgs]).reshape(len(cfgs), system.n_sites)
-    out = _exchange_sums(sites, w[:, sites, None] - w[:, None, :], system)
     lam = np.array([cfg.lam for cfg in cfgs])
     extended = lam != 0.0  # R_l is G_l bitwise at lam = 0
-    sz = site_operators(system)[0]
+    gens, exchange = site_operators(system)
+    out = np.zeros((len(sites), len(cfgs)) + (system.total_dim,) * 2, dtype=complex)
     for i, site in enumerate(sites):
-        out[i, extended] += lam[extended, None, None] * sz[site][2]
+        for other in range(system.n_sites):
+            if other != site:
+                out[i] += exchange[site, other] / (w[:, site] - w[:, other])[:, None, None]
+        out[i, extended] += lam[extended, None, None] * gens[site][2]
     return out
-
-
-def richardson_derivative(
-    site: int, cfg: SpectralConfig, system: SiteSystem, wrt: int
-) -> np.ndarray:
-    """Analytic d R_site / d w_wrt.
-
-    Only the 1/(w_site - w_other) factors depend on w, so the derivative is a
-    sum of exchange operators with squared-denominator weights.
-    """
-    _check_site(cfg, system, site)
-    _check_site(cfg, system, wrt)
-    w = _weights(cfg)
-    # scalar squares: a numpy scalar ** 2 can round differently from an array's
-    if wrt == site:
-        return _exchange_sums([site], [[[-(w[site] - x) ** 2 for x in w]]], system)[0, 0]
-    return site_operators(system)[1][site, wrt] / (w[site] - w[wrt]) ** 2
 
 
 def verify_commuting(ops) -> np.ndarray:
@@ -150,13 +122,11 @@ def kz_flatness_residual(
 
     || d_{w_a} R_b - d_{w_b} R_a - [R_a, R_b] / level_shift ||
 
-    Both derivatives are S_a.S_b / (w_a - w_b)^2, the same array bit for bit,
-    so the value equals max_abs([R_a, R_b] / level_shift): the commutator
-    defect scaled by 1 / level_shift, not an independent check.
+    Both derivatives are S_a.S_b / (w_a - w_b)^2 and cancel exactly, so this
+    is max_abs([R_a, R_b] / level_shift): the commutator defect scaled by
+    1 / level_shift, not an independent check.
     """
     if site_a == site_b:
         raise SameSiteError("flatness residual needs two distinct sites")
-    d_ab = richardson_derivative(site_b, cfg, system, wrt=site_a)
-    d_ba = richardson_derivative(site_a, cfg, system, wrt=site_b)
     r_a, r_b = richardson_integral([site_a, site_b], [cfg], system)[:, 0]
-    return max_abs(d_ab - d_ba - commutator(r_a, r_b) / cfg.level_shift)
+    return max_abs(commutator(r_a, r_b) / cfg.level_shift)

@@ -1,5 +1,5 @@
 import itertools
-import math
+import re
 
 import numpy as np
 import pytest
@@ -50,7 +50,6 @@ def test_b_vectors_uniform_couplings():
     assert np.allclose(b.b1, [1.0, 1.0, 0.0, 0.0], atol=0)
     assert np.allclose(b.bk[0], [1.0, 1.0, 0.0, 0.0], atol=0)
     assert b.beta1 == 1.0 and b.betas[0] == 1.0
-    assert b.parallelism_defect < 1e-15
 
 
 def test_b_vector_reference_betas():
@@ -91,35 +90,21 @@ def test_rank_one_matrices_are_singular():
 
 
 def test_b_vector_override_reports_defect():
-    # gamma_0 != gamma_1 so the first spatial vector tilts when v01 moves
+    # gamma_0 != gamma_1 so the first spatial vector tilts when v01 moves; the
+    # loss of parallelism shows as a commutator defect of the EKZ operators
     p = _params(gamma=(0.3, 0.4, 0.5), a=(0.0,))
     v = lzi.coupling_matrix(p).copy()
     v[0, 1] += 0.3
     v[1, 0] += 0.3
-    b = lzi.b_vector_stack([p], [v])
-    assert b.parallelism_defect[0] > 1e-2
-
-
-def _norm3(x):
-    return math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-
-
-def _pairwise_cross_defect(b1, bk):
-    """The worst |u_i x u_j| over the pairs of unit spatial parts of one model's
-    four-vectors, one np.cross per pair (the norm summed left to right, as
-    numpy's row norm sums a length-3 row)."""
-    spatial = [b1[1:]] + [row[1:] for row in bk]
-    units = [s / _norm3(s) for s in spatial if _norm3(s) > 0.0]
-    defect = 0.0
-    for u, w in itertools.combinations(units, 2):
-        defect = max(defect, _norm3(np.cross(u, w)))
-    return defect
+    b = lzi.b_vector_stack([p, p], [lzi.coupling_matrix(p), v])
+    defects = lzi.verify_commuting(lzi.ekz_operators(b, 3.0))[:, 0]
+    assert defects[0] < 1e-15 and defects[1] > 1e-3
 
 
 @pytest.mark.parametrize("table", ["rank-one", "break-parallelism", "random-rows"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_parallelism_defect_array_pass_matches_pairwise_cross_loop(n, table):
-    # n spatial vectors: b1 and one per flat level
+def test_a_table_that_is_not_rank_one_shows_as_an_ekz_commutator_defect(n, table):
+    # n spatial vectors, b1 and one per flat level: parallel only for a rank-one table
     rng = np.random.default_rng(100 * n + len(table))
     for _ in range(5):
         p = _params(gamma=rng.uniform(0.3, 1.0, n + 1), a=np.arange(n - 1) * 0.7)
@@ -130,30 +115,18 @@ def test_parallelism_defect_array_pass_matches_pairwise_cross_loop(n, table):
             noise = np.zeros_like(v)
             noise[:2] = rng.normal(0.0, 0.2, (2, n + 1))
             v = v + noise + noise.T
-        b = lzi.b_vector_stack([p], [v])
-        assert b.parallelism_defect[0] == _pairwise_cross_defect(b.b1[0], b.bk[0])
-        if table != "rank-one":
-            assert b.parallelism_defect[0] > 1e-3
+        defect = lzi.verify_commuting(lzi.ekz_operators(lzi.b_vector_stack([p], [v]), -1.0)).max()
+        if table == "rank-one":
+            assert defect < 1e-15
+        else:
+            assert defect > 1e-5
 
 
-def test_parallelism_defect_of_a_single_nonzero_vector_is_zero():
-    # gamma_2 = 0 leaves b1 the only spatial part with a direction
-    b = lzi.b_vectors(_params(gamma=(0.3, 0.4, 0.0), a=(0.0,)))
-    assert not b.bk[0].any()
-    assert b.parallelism_defect == 0.0
-
-
-def test_parallelism_defect_skips_a_zero_spatial_part():
+def test_b_vector_stack_rejects_a_table_without_a_spatial_part():
+    # with no spatial part at all there is no direction to take unit_n from
     p = _params(gamma=(0.3, 0.4, 0.5, 0.0, 0.2), a=(-1.0, 0.0, 1.0))
-    v = lzi.coupling_matrix(p)
-    v[0, 1] = v[1, 0] = v[0, 1] + 0.1
-    b = lzi.b_vector_stack([p], [v])
-    assert not b.bk[0, 1, 1:].any()
-    assert b.parallelism_defect[0] == _pairwise_cross_defect(b.b1[0], b.bk[0]) > 1e-3
-    # with no spatial part at all there is no direction to compare against
-    v = np.zeros((5, 5))
-    with pytest.raises(DegenerateSpectralError):
-        lzi.b_vector_stack([p], [v])
+    with pytest.raises(DegenerateSpectralError, match="all spatial parts vanish"):
+        lzi.b_vector_stack([p], [np.zeros((5, 5))])
 
 
 def _one_point_operators(p, v, omega):
@@ -205,7 +178,7 @@ def test_stacked_four_vectors_and_operators_equal_the_one_point_formulas_bitwise
         b1, bk, expected = _one_point_operators(p, v, float(omegas[s]))
         one = lzi.b_vector_stack([p], [v])
         assert np.array_equal(one.b1[0], b1) and np.array_equal(one.bk[0], bk)
-        fields = ("b1", "bk", "beta1", "betas", "unit_n", "a", "parallelism_defect")
+        fields = ("b1", "bk", "beta1", "betas", "unit_n", "a")
         for name in fields:
             assert np.array_equal(getattr(stack, name)[s], getattr(one, name)[0])
         if s % 2 == 0:  # a rank-one table: b_vectors builds the same set
@@ -500,6 +473,39 @@ def test_window_doubling_convergence_flag(monkeypatch):
     monkeypatch.setattr(lzi.ado, "_MAX_DOUBLINGS", 1)
     with pytest.raises(QuadratureError):
         lzi.time_domain_wavefunction(sol, 4.0, lzi.QuadratureSpec(tolerance=1e-14))
+
+
+def test_window_doubling_stall_reports_its_last_delta(monkeypatch):
+    # a tolerance the phase rounding of both windows stays below, so the stall is what raises
+    sol = lzi.closed_form_solution(_params(), m=+1)
+    monkeypatch.setattr(lzi.ado, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(QuadratureError, match=r"stalled at 64 \(last delta [1-9]"):
+        lzi.time_domain_wavefunction(sol, 4.0, lzi.QuadratureSpec(tolerance=1e-10))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e30, -1e30, 1e76])
+def test_transform_refuses_a_time_whose_phase_rounding_exceeds_the_tolerance(t):
+    # eps (|centre| + window)^2 is about 2e44 at |t| = 1e30; the transform used to
+    # return zeros with error estimate 0 there
+    sol = lzi.closed_form_solution(_params(), m=+1)
+    with pytest.raises(QuadratureError, match=re.escape(f"t = {t!r}: rounding moves the transform's phase")):
+        lzi.time_domain_wavefunction(sol, t)
+
+
+def test_closed_form_rejects_couplings_whose_modulus_squared_overflows():
+    # below both flat levels log |Phi| = 2 pi (beta_2 + beta_3 + beta_2 beta_3) on branch +1:
+    # 341 at gamma_0 = 11, whose modulus is a double, and 458 at gamma_0 = 12, whose |Phi|
+    # is a double (6.5e198 at omega = -3) but whose |Phi|^2, and so its norm, is not
+    a = (1.0, 2.5)
+    sol = lzi.closed_form_solution(_params(gamma=(11.0, 0.4, 0.5, 0.2), a=a), m=+1)
+    assert np.log(np.linalg.norm(sol(-3.0))) == pytest.approx(340.97, abs=0.01)
+    with pytest.raises(ValueError, match="gamma is too large"):
+        lzi.closed_form_solution(_params(gamma=(12.0, 0.4, 0.5, 0.2), a=a), m=+1)
+    # on branch -1 only the pair factor exp(2 pi beta_2 beta_3) grows, 450 at gamma_0 = 13
+    lzi.closed_form_solution(_params(gamma=(12.0, 0.4, 0.5, 0.2), a=a), m=-1)
+    with pytest.raises(ValueError, match="gamma is too large"):
+        lzi.closed_form_solution(_params(gamma=(13.0, 0.4, 0.5, 0.2), a=a), m=-1)
 
 
 def test_survival_trivial_branch_is_unity():

@@ -356,14 +356,14 @@ def test_verify_integrals_reports_the_library_definitions(tmp_path, case, seed):
             assert {key: report["sections"][suite][key] for key in expected} == expected
 
 
-def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
-    # gamma_0 = 1e60 has finite squares, but the EKZ four-vectors overflow, so every defect
-    # is NaN, and max(0.0, nan) would report 0.0
-    config = {"schema_version": 1, "params": {"gamma": [1e60, 0.4, 0.5, 0.2], "a": [1.0, 2.5]}}
-    cfg = _write(tmp_path, "ekz.json", config)
+def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys, monkeypatch):
+    # the closed form rejects every coupling that overflows, so this backstop is reached
+    # here by NaN operators; max(0.0, nan) would report 0.0
+    build = ado.ekz_operators
+    monkeypatch.setattr(ado, "ekz_operators", lambda b, omega: build(b, omega) * np.nan)
+    cfg = _write(tmp_path, "ekz.json", _VALID["verify-ekz"])
     out = tmp_path / "report.json"
     assert _run(["verify-ekz", "--config", cfg, "--out", str(out)]) == 2
-    # the overflow itself prints nothing: the report names the first defect that is not finite
     assert capsys.readouterr().err == (
         "numerical error: verify-ekz (it skips omega draws within 0.5 of a flat level): "
         "max_commutator_defect is nan at sample 1\n"
@@ -373,18 +373,58 @@ def test_verify_ekz_non_finite_defect_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("grid, first", [
-    # a t_grid at this gamma writes zeros, so only the omega grid reaches the row check
     ({"omega_grid": {"start": 0.1, "stop": 0.2, "num": 2}}, "omega = 0.10000000000000001"),
 ], ids=["omega-grid"])
-def test_closed_form_non_finite_row_exits_2_naming_its_grid_value(tmp_path, capsys, grid, first):
-    # gamma_0 = 1e60 has finite squares, but every amplitude is NaN; no row is written
-    # and no numpy warning printed
-    config = {"schema_version": 1, "params": {"gamma": [1e60, 0.4, 0.5, 0.2], "a": [1.0, 2.5]},
-              "branch": 1, **grid}
+def test_closed_form_non_finite_row_exits_2_naming_its_grid_value(tmp_path, capsys, monkeypatch, grid, first):
+    # the closed form rejects every coupling that overflows, so this backstop is reached
+    # here by NaN amplitudes; no row is written and no numpy warning printed
+    monkeypatch.setattr(ado.EKZSolution, "scalar", lambda self, omega, a=None: complex("nan+nanj"))
+    config = {"schema_version": 1, "params": _ADO, "branch": 1, **grid}
     cfg = _write(tmp_path, "cf.json", config)
     out = tmp_path / "amplitudes.csv"
     assert _run(["closed-form", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"numerical error: closed-form: the row at {first} is not finite\n"
+    assert not out.exists()
+
+
+_EKZ_MODEL = {"a": [1.0, 2.5]}
+_OMEGA_GRID = {"omega_grid": {"start": 0.1, "stop": 0.2, "num": 2}}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, gamma_0, extra", [
+    ("verify-ekz", 1e60, {}),
+    ("verify-ekz", 1e78, {}),
+    ("closed-form", 1e60, dict(_OMEGA_GRID, branch=1)),
+    ("closed-form", 1e78, dict(_OMEGA_GRID, branch=1)),
+    ("closed-form", 12.0, dict(_OMEGA_GRID, branch=1)),
+    ("closed-form", 1e60, {"t_grid": {"start": -1.0, "stop": 1.0, "num": 2}}),
+    ("evolve", 1e60, {"model": "ado", "engine": "both", "grid": {"start": -1.0, "stop": 1.0, "num": 2}}),
+], ids=["ekz-1e60", "ekz-1e78", "cf-1e60", "cf-1e78", "cf-12", "cf-t-grid-1e60", "evolve-both-1e60"])
+def test_a_closed_form_whose_modulus_overflows_exits_3_naming_gamma(tmp_path, capsys, command, gamma_0, extra):
+    # the squares of these couplings are finite, but |Phi|^2 below the flat levels is not
+    # (at gamma_0 = 12 log |Phi| is 458, beyond half the log of the largest double)
+    params = dict(_EKZ_MODEL, gamma=[gamma_0, 0.4, 0.5, 0.2])
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, "params": params, **extra})
+    out = tmp_path / "out"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: gamma is too large: |Phi|^2 of the closed form overflows below the flat levels\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_time_whose_phase_rounding_exceeds_the_tolerance_exits_2(tmp_path, capsys):
+    # at t = 1e30 rounding alone moves the phase by far more than the tolerance; the
+    # transform used to return zeros with error estimate 0
+    config = dict(_VALID["closed-form"], t_grid={"start": 1e30, "stop": 2e30, "num": 2})
+    del config["omega_grid"]
+    cfg = _write(tmp_path, "cf.json", config)
+    out = tmp_path / "amplitudes.csv"
+    assert _run(["closed-form", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: t = 1e+30: rounding moves the transform's phase"), err
     assert not out.exists()
 
 
@@ -634,7 +674,7 @@ def test_lz_probability_is_deterministic(tmp_path):
         "lzp.json",
         {
             "schema_version": 1,
-            "sweep": {"gamma0": [0.3], "gamma1": [0.4], "gamma2": [0.0, 0.2]},
+            "sweep": {"points": [[0.3, 0.4, 0.0], [0.3, 0.4, 0.2]]},
             "T": 30.0,
             "propagation": {"theta": 0.3},
         },
@@ -913,7 +953,7 @@ _CONFIG_ERRORS = {
     "cf-max-doublings-float": (
         "closed-form", ("quadrature", "max_doublings"), 2.5, _CF_TIME, "unknown key 'quadrature.max_doublings'"
     ),
-    "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None, "oracle must be a JSON boolean"),
+    "lzp-oracle-string-false": ("lz-probability", ("oracle",), "false", None, "unknown key 'oracle'"),
     "tm-schema-version-true": (
         "transition-matrix", ("schema_version",), True, None, "schema_version must be one of 1, got True"
     ),
@@ -987,17 +1027,17 @@ _CONFIG_ERRORS = {
         "lz-probability", ("sweep", "points"), [[1e160, 0.4, 0.5]], None, _GAMMA_OVERFLOWS
     ),
     "lzp-formula-only-gamma-squared-overflows": (
-        "lz-probability", ("sweep", "points"), [[1e160, 0.4, 0.5]],
-        dict(_VALID["lz-probability"], oracle=False), _GAMMA_OVERFLOWS,
+        "lz-probability", ("sweep", "points"), [[1e160, 0.4, 0.5]], None, _GAMMA_OVERFLOWS,
     ),
     # mutually exclusive keys
     "cf-omega-grid-and-t-grid": (
         "closed-form", ("t_grid",), _CF_TIME["t_grid"], None, "exactly one of 'omega_grid' and 't_grid'"
     ),
+    # the sweep's retired gamma lists: points are the one way to give couplings
     "lzp-points-and-gamma-lists": (
         "lz-probability", ("sweep",),
         {"points": [[0.3, 0.4, 0.5]], "gamma0": [0.3], "gamma1": [0.4], "gamma2": [0.5]}, None,
-        "sweep needs 'points' or gamma0/1/2 lists, got points, gamma0",
+        "unknown key 'sweep.gamma0'",
     ),
 }
 
@@ -1050,7 +1090,7 @@ def _entries(obj, prefix=()):
 _KEEP = {("T",)}
 _FUZZ_VALUES = [_DELETE, "x", [1.0], {"k": 1}, None, True, -1, 0, 2.7]
 # the boolean keys that the "string boolean" mutation sets to "false" or "true"
-_BOOLEAN_KEYS = [("lz-probability", ("oracle",))] + [
+_BOOLEAN_KEYS = [
     (command, ("propagation", "verify")) for command in _VALID if "propagation" in _VALID[command]
 ]
 
